@@ -125,6 +125,9 @@ class CandidateScore:
     ``per_output`` holds, per output channel, how far the candidate clears the
     supervisory inequality; the candidate is acceptable when every entry is
     nonnegative. ``xi_total`` is their sum, the ranking key within a setting.
+    ``states`` holds the winner's post-washout states (N, n - washout) when
+    the score comes from :func:`propose_block`, so callers need not harvest
+    the accepted block again.
     """
 
     xi_total: float
@@ -132,6 +135,7 @@ class CandidateScore:
     candidate_index: int
     lambda_used: float
     r_used: float
+    states: Optional[np.ndarray] = None
 
     @property
     def acceptable(self) -> bool:
@@ -199,8 +203,9 @@ def propose_block(
     ``inputs`` from the zero state, and scores them against ``residual`` using
     post-washout columns only. The first setting yielding any acceptable
     candidate wins; within it, the candidate with the largest total margin is
-    returned (lowest draw index on ties). Degenerate draws — zero spectral
-    radius or an all-zero state trajectory — are skipped.
+    returned (lowest draw index on ties), its score carrying its harvested
+    post-washout states. Degenerate draws — zero spectral radius or an
+    all-zero state trajectory — are skipped.
 
     Raises :class:`NoCandidateFound` when every setting is exhausted.
     """
@@ -258,6 +263,8 @@ def propose_block(
                 candidate_index=best,
                 lambda_used=lam,
                 r_used=r,
+                # A copy: a view would keep the whole (G, N, n) batch alive.
+                states=states[best].copy(),
             )
             return block, score
 
@@ -431,7 +438,7 @@ def build_initial(
             break
         next_id += 1
         append_block(model, block)
-        block_states.append(harvest_block_states(block, train_inputs, washout))
+        block_states.append(score.states)
         if validation is not None:
             val_block_states.append(harvest_block_states(block, val_inputs, val_washout))
         refit_and_record()

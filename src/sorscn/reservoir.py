@@ -20,12 +20,6 @@ import numpy as np
 
 from .errors import DegenerateMatrix, DimensionMismatch, WashoutTooLarge
 
-# Fixed seed for the power-iteration start vector: the estimate must not
-# depend on any caller-visible RNG stream.
-_POWER_SEED = 0x5EED
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
-
 DEGENERATE_RADIUS = 1e-12
 
 
@@ -159,12 +153,7 @@ class StateMatrix:
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
-    """Dominant eigenvalue magnitude of a square matrix.
-
-    Power iteration (residual tolerance 1e-10, at most 1000 steps, fixed seeded
-    start vector); falls back to a dense eigensolver when the iteration does
-    not converge, e.g. for a dominant complex-conjugate pair.
-    """
+    """Dominant eigenvalue magnitude of a square matrix, by a dense eigensolve."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -174,51 +163,12 @@ def spectral_radius(matrix: np.ndarray) -> float:
 def spectral_radii(matrices: np.ndarray) -> np.ndarray:
     """Dominant eigenvalue magnitudes of a stack of square matrices (G, N, N).
 
-    Same algorithm as :func:`spectral_radius`, run on all matrices at once.
+    One batched dense eigensolve over the whole stack, so a dominant
+    complex-conjugate pair needs no special handling; zero and strictly
+    triangular matrices come out at radius 0.
     """
     mats = np.asarray(matrices, dtype=float)
-    g, n, _ = mats.shape
-    start = np.random.default_rng(_POWER_SEED).standard_normal((g, n))
-    x = start / np.linalg.norm(start, axis=1, keepdims=True)
-
-    radii = np.zeros(g)
-    converged = np.zeros(g, dtype=bool)
-    for _ in range(_POWER_MAX_ITER):
-        y = np.einsum("gij,gj->gi", mats, x)
-        y_norm = np.linalg.norm(y, axis=1)
-        dead = y_norm <= DEGENERATE_RADIUS
-        if dead.any():
-            # x lies in (or near) the nullspace: treat as converged at zero
-            # unless a later dense pass disagrees; nilpotent matrices land here.
-            radii[dead & ~converged] = 0.0
-            converged |= dead
-            if converged.all():
-                break
-            y_norm = np.where(dead, 1.0, y_norm)
-        rayleigh = np.einsum("gi,gi->g", x, y)
-        x_new = y / y_norm[:, None]
-        residual = np.linalg.norm(
-            np.einsum("gij,gj->gi", mats, x_new) - rayleigh[:, None] * x_new, axis=1
-        )
-        newly = (~converged) & (residual < _POWER_TOL) & ~dead
-        radii[newly] = np.abs(rayleigh[newly])
-        converged |= newly
-        x = x_new
-        if converged.all():
-            break
-
-    if not converged.all():
-        rest = ~converged
-        eigvals = np.linalg.eigvals(mats[rest])
-        radii[rest] = np.abs(eigvals).max(axis=1)
-    else:
-        # Zero-radius verdicts from the nullspace shortcut are confirmed density
-        # here; a nonzero dominant eigenvalue can hide behind a defective start.
-        zeroed = converged & (radii <= DEGENERATE_RADIUS)
-        if zeroed.any():
-            eigvals = np.linalg.eigvals(mats[zeroed])
-            radii[zeroed] = np.abs(eigvals).max(axis=1)
-    return radii
+    return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
 
 
 def scale_spectral(raw: np.ndarray, theta: float) -> np.ndarray:

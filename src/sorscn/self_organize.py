@@ -403,7 +403,7 @@ def regrow(
             break
         next_id += 1
         append_block(model, block)
-        block_states.append(harvest_block_states(block, win_inputs, washout=0))
+        block_states.append(score.states)
         if hist_states is not None:
             hist_states.append(harvest_block_states(block, hist_inputs, washout=hist_washout))
         residual = refit_and_residual()
@@ -495,7 +495,9 @@ def run_stream(
     per-sample projection updates in arrival order, or prune-and-regrow. The
     reservoir state carries across windows; after restructuring, retained
     blocks keep their state and new blocks start from zero. Failures inside a
-    window are recorded on its verdict and the stream moves on.
+    window are recorded on its verdict and the stream moves on; a failed
+    restructure leaves the model and the reservoir state as they were before
+    the window.
 
     ``prediction_sink``, when given, receives each window's prediction matrix
     as made *before* that window's action — the honest streaming forecast.
@@ -544,9 +546,10 @@ def run_stream(
             state = states.final_state
 
         else:  # restructure
+            # Prune and regrow a new model; the live model and state change
+            # together, and only once both steps have succeeded.
             try:
                 sample_index = start_index + hi
-                model.stalled = False
                 sens = compute_sensitivity(model, states)
                 if stream_cfg.variant == "improved":
                     if model.n_blocks >= 2:
@@ -556,10 +559,11 @@ def run_stream(
                 else:
                     corr = None
                 report = select_blocks(sens, corr, stream_cfg.gamma, stream_cfg.alpha)
-                model = prune(model, report, sample_index=sample_index)
+                restructured = prune(model, report, sample_index=sample_index)
+                restructured.stalled = False
                 kept_states = [states.per_block[p].copy() for p in report.retained]
-                model, kept_states = regrow(
-                    model,
+                restructured, kept_states = regrow(
+                    restructured,
                     (win_in, win_tg),
                     cfg,
                     interval,
@@ -568,12 +572,14 @@ def run_stream(
                     history=regrow_history,
                     sample_index=sample_index,
                 )
+            except (SorscnError, np.linalg.LinAlgError) as exc:
+                note = f"restructure failed: {exc}"
+                state = states.final_state
+            else:
+                model = restructured
                 state = np.concatenate([bs[:, -1] for bs in kept_states])
                 if model.stalled:
                     note = "regrowth stalled; continuing with online updates"
-            except SorscnError as exc:
-                note = f"restructure failed: {exc}"
-                state = states.final_state
 
         verdicts.append(
             WindowVerdict(

@@ -22,6 +22,7 @@ from sorscn.errors import (
     NoCandidateFound,
     ZeroStateNorm,
 )
+from sorscn.reservoir import harvest_block_states
 
 
 def margins_oracle(residual, states, r, mu):
@@ -166,6 +167,18 @@ class TestProposeBlock:
         assert block.size == 2
         with pytest.raises(DimensionMismatch):
             propose_block(cfg, residual, inputs, rng, washout=3)
+
+    def test_score_carries_the_winners_harvested_states(self):
+        cfg = ConstructionConfig(max_blocks=3, block_size=4, candidates_per_setting=20)
+        rng = np.random.default_rng(8)
+        inputs = rng.uniform(-1, 1, (2, 60))
+        residual = rng.standard_normal((1, 50))  # 60 - washout 10
+        block, score = propose_block(cfg, residual, inputs, rng, washout=10)
+        expected = harvest_block_states(block, inputs, washout=10)
+        assert score.states.shape == expected.shape == (4, 50)
+        assert np.allclose(score.states, expected, rtol=0, atol=1e-12)
+        # Owns its memory rather than viewing (and pinning) the candidate batch.
+        assert score.states.base is None
 
 
 class TestConfig:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_model, zero_block
 from sorscn.errors import DegenerateMatrix, DimensionMismatch, WashoutTooLarge
 from sorscn.reservoir import (
+    DEGENERATE_RADIUS,
     EnsembleModel,
     harvest_states,
     new_random_block,
@@ -55,8 +56,6 @@ class TestSpectralRadius:
         assert abs(spectral_radius(a) - np.abs(np.linalg.eigvals(a)).max()) <= 1e-9
 
     def test_complex_dominant_pair(self):
-        # Rotation blocks defeat plain power iteration; the dense fallback
-        # must still deliver the magnitude.
         c, s = np.cos(0.9), np.sin(0.9)
         rot = np.array([[c, -s], [s, c]]) * 1.7
         assert abs(spectral_radius(rot) - 1.7) <= 1e-9
@@ -66,6 +65,21 @@ class TestSpectralRadius:
         batched = spectral_radii(mats)
         singles = [spectral_radius(m) for m in mats]
         assert np.allclose(batched, singles, atol=1e-9)
+
+    def test_batched_mixed_stack_matches_per_matrix_oracle(self):
+        c, s = np.cos(0.9), np.sin(0.9)
+        rotation = np.zeros((5, 5))
+        rotation[:2, :2] = np.array([[c, -s], [s, c]]) * 1.7  # dominant complex pair
+        rotation[2:, 2:] = np.diag([0.5, -0.3, 0.1])
+        shift = np.diag(np.ones(4), k=1)  # nilpotent: all eigenvalues zero
+        draws = np.random.default_rng(4).uniform(-1, 1, (6, 5, 5))
+        mats = np.concatenate([rotation[None], np.zeros((1, 5, 5)), shift[None], draws])
+        oracle = np.array([np.abs(np.linalg.eigvals(m)).max() for m in mats])
+        radii = spectral_radii(mats)
+        assert radii.shape == (9,)
+        assert np.allclose(radii, oracle, rtol=0, atol=1e-12)
+        assert abs(radii[0] - 1.7) <= 1e-12
+        assert radii[1] <= DEGENERATE_RADIUS and radii[2] <= DEGENERATE_RADIUS
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):

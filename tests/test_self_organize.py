@@ -486,6 +486,34 @@ class TestRunStream:
             assert v.blocks_after == v.blocks_before == 2
         assert out is model
 
+    def test_failed_regrow_after_prune_rolls_back_model_and_state(self):
+        # The mu rule raises inside regrow, after prune has already run: each
+        # window must keep the full pre-window model and its live state.
+        def failing_mu(n_existing, r):
+            raise ConfigError("mu rule refuses")
+
+        model = make_model(n_blocks=6, size=5, input_dim=2, seed=4)
+        model.stalled = True
+        readout = model.readout.copy()
+        n_events = len(model.history)
+        cfg = _small_cfg(max_blocks=8, block_size=5, mu_rule=failing_mu)
+        stream = _sine_problem(60, seed=6)
+        sink = []
+        out, verdicts = run_stream(
+            model, stream, cfg, ErrorInterval(1e-13, 1e-12), StreamConfig(window_size=20),
+            prediction_sink=sink,
+        )
+        assert [v.action for v in verdicts] == ["restructure"] * 3
+        for v in verdicts:
+            assert v.note == "restructure failed: mu rule refuses"
+            assert v.blocks_before == v.blocks_after == 6
+        assert out is model
+        assert out.stalled
+        assert np.array_equal(out.readout, readout)
+        assert len(out.history) == n_events
+        joint = model.predict(harvest_states(model, stream[0], washout=0))
+        assert np.allclose(np.hstack(sink), joint, atol=1e-13)
+
     def test_history_refit_scope_requires_history(self):
         model, cfg = self._trained()
         stream = _sine_problem(40, seed=7)
