@@ -241,8 +241,10 @@ def propose_block(
             if not viable.any():
                 continue
 
-            safe_states = np.where(viable[:, None, None], states, 1.0)
-            margins = _score_block(residual, safe_states, r, mu)
+            # Mask in place: viable rows (the only ones that can win) keep
+            # their states, and no second (G, N, n) batch is made.
+            states[~viable] = 1.0
+            margins = _score_block(residual, states, r, mu)
             acceptable = viable & np.all(margins >= 0.0, axis=1)
             if not acceptable.any():
                 continue

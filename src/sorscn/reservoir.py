@@ -7,6 +7,13 @@ shared linear readout. Internal weights are rescaled so their dominant
 eigenvalue magnitude hits a target in (0, 1], which gives the fading-memory
 behaviour the readout relies on.
 
+There is one tanh recurrence, :func:`harvest_candidate_states`: a batched
+kernel over G equal-size blocks, run time-major in chunks. Model harvests
+(:func:`harvest_states`, one call per distinct block size), single-block
+harvests (:func:`harvest_block_states`, G = 1), single steps
+(:func:`step_state`, a one-sample harvest) and the candidate search all go
+through it.
+
 Shape conventions: inputs are K x n (features by samples), targets L x n,
 states N x n per block. Vectors are 1-D.
 """
@@ -21,6 +28,11 @@ import numpy as np
 from .errors import DegenerateMatrix, DimensionMismatch, WashoutTooLarge
 
 DEGENERATE_RADIUS = 1e-12
+
+# Time steps per chunk of the recurrence kernel: bounds its scratch and drive
+# buffers at (chunk, G, N) while amortising the drive projection over many
+# steps. A fixed constant, not a setting.
+RECURRENCE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -187,7 +199,7 @@ def scale_spectral(raw: np.ndarray, theta: float) -> np.ndarray:
 
 
 def step_state(model: EnsembleModel, prev_state: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """One step of the block-diagonal recurrence.
+    """One step of the block-diagonal recurrence: a one-sample harvest.
 
     Per block k: ``new^(k) = tanh(W_in^(k) u + W_r^(k) prev^(k) + b^(k))``.
     Blocks are mutually independent.
@@ -202,14 +214,7 @@ def step_state(model: EnsembleModel, prev_state: np.ndarray, inputs: np.ndarray)
         raise DimensionMismatch(
             f"input has shape {inputs.shape}, expected ({model.input_dim},)"
         )
-    out = np.empty_like(prev_state)
-    offs = model.block_offsets()
-    for k, blk in enumerate(model.blocks):
-        lo, hi = offs[k], offs[k + 1]
-        out[lo:hi] = np.tanh(
-            blk.input_weights @ inputs + blk.internal_weights @ prev_state[lo:hi] + blk.bias
-        )
-    return out
+    return harvest_states(model, inputs[:, None], washout=0, initial_state=prev_state).final_state
 
 
 def harvest_states(
@@ -222,7 +227,9 @@ def harvest_states(
 
     The state starts at zero unless ``initial_state`` is given (stream
     continuation). States for the first ``washout`` samples are computed but
-    excluded from the returned matrix.
+    excluded from the returned matrix. Blocks of equal size run as one batch
+    through :func:`harvest_candidate_states`, so a gated model is one call;
+    a mixed-size model (an rscn seed block, the ESN) makes one call per size.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] != model.input_dim:
@@ -234,35 +241,40 @@ def harvest_states(
         raise WashoutTooLarge(f"washout {washout} leaves no samples out of {n}")
 
     total = model.total_size
-    if initial_state is None:
-        state = np.zeros(total)
-    else:
-        state = np.asarray(initial_state, dtype=float)
-        if state.shape != (total,):
+    if initial_state is not None:
+        initial_state = np.asarray(initial_state, dtype=float)
+        if initial_state.shape != (total,):
             raise DimensionMismatch(
-                f"initial_state shape {state.shape}, expected ({total},)"
+                f"initial_state shape {initial_state.shape}, expected ({total},)"
             )
 
     offs = model.block_offsets()
-    win_proj = [blk.input_weights @ inputs for blk in model.blocks]  # (N_k, n) each
+    by_size: dict[int, list[int]] = {}
+    for k, blk in enumerate(model.blocks):
+        by_size.setdefault(blk.size, []).append(k)
     stacked = np.empty((total, n - washout))
-    for t in range(n):
-        nxt = np.empty(total)
-        for k, blk in enumerate(model.blocks):
-            lo, hi = offs[k], offs[k + 1]
-            nxt[lo:hi] = np.tanh(
-                win_proj[k][:, t] + blk.internal_weights @ state[lo:hi] + blk.bias
-            )
-        state = nxt
-        if t >= washout:
-            stacked[:, t - washout] = state
+    for ks in by_size.values():
+        blocks = [model.blocks[k] for k in ks]
+        init = None
+        if initial_state is not None:
+            init = np.stack([initial_state[offs[k] : offs[k + 1]] for k in ks])
+        group = harvest_candidate_states(
+            np.stack([b.input_weights for b in blocks]),
+            np.stack([b.internal_weights for b in blocks]),
+            np.stack([b.bias for b in blocks]),
+            inputs,
+            washout,
+            initial_state=init,
+        )
+        for j, k in enumerate(ks):
+            stacked[offs[k] : offs[k + 1]] = group[j]
 
     per_block = tuple(stacked[offs[k] : offs[k + 1], :] for k in range(model.n_blocks))
     return StateMatrix(
         per_block=per_block,
         sample_range=(washout, n),
         stacked=stacked,
-        final_state=state.copy(),
+        final_state=stacked[:, -1].copy(),
     )
 
 
@@ -275,20 +287,18 @@ def harvest_block_states(
     """Post-washout states (N, n - washout) of a single block run in isolation.
 
     Blocks evolve independently, so a freshly added block's states can be
-    harvested without recomputing the rest of the model.
+    harvested without recomputing the rest of the model. This is
+    :func:`harvest_candidate_states` with one candidate.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    n = inputs.shape[1]
-    if washout < 0 or washout >= n:
-        raise WashoutTooLarge(f"washout {washout} leaves no samples out of {n}")
-    state = np.zeros(block.size) if initial_state is None else np.asarray(initial_state, dtype=float)
-    proj = block.input_weights @ inputs
-    out = np.empty((block.size, n - washout))
-    for t in range(n):
-        state = np.tanh(proj[:, t] + block.internal_weights @ state + block.bias)
-        if t >= washout:
-            out[:, t - washout] = state
-    return out
+    init = None if initial_state is None else np.asarray(initial_state, dtype=float)[None]
+    return harvest_candidate_states(
+        block.input_weights[None],
+        block.internal_weights[None],
+        block.bias[None],
+        inputs,
+        washout,
+        initial_state=init,
+    )[0]
 
 
 def harvest_candidate_states(
@@ -297,24 +307,57 @@ def harvest_candidate_states(
     biases: np.ndarray,
     inputs: np.ndarray,
     washout: int,
+    initial_state: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Post-washout states (G, N, n - washout) for G candidate blocks at once.
+    """Post-washout states (G, N, n - washout) for G equal-size blocks at once.
 
-    All candidates see the same input series and start from the zero state.
-    Used by the candidate search, where evaluating blocks one at a time is the
-    dominant cost.
+    The package's one tanh recurrence: candidate search, block harvests and
+    model harvests all run here. All G blocks see the same input series and
+    start from the zero state unless ``initial_state`` (G, N) is given. The
+    final state is the last returned column.
+
+    The loop is time-major in chunks of ``RECURRENCE_CHUNK`` steps: the drive
+    ``W_in u + b`` is computed once per chunk, each step is one batched
+    ``W_r x`` written into a row of a (chunk, G, N, 1) scratch buffer, then
+    an in-place add and ``tanh``, and each chunk reaches the output in one
+    transposed copy. No (G, N, n) buffer other than the output is made.
     """
-    g, size, _ = input_weights.shape
+    g, size, k_in = input_weights.shape
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[0] != k_in:
+        raise DimensionMismatch(f"inputs shape {inputs.shape}, expected ({k_in}, n)")
     n = inputs.shape[1]
-    if washout >= n:
+    if washout < 0 or washout >= n:
         raise WashoutTooLarge(f"washout {washout} leaves no samples out of {n}")
-    proj = np.einsum("gnk,kt->gnt", input_weights, inputs)
-    state = np.zeros((g, size))
+    if initial_state is None:
+        state = np.zeros((g, size))
+    else:
+        state = np.asarray(initial_state, dtype=float)
+        if state.shape != (g, size):
+            raise DimensionMismatch(
+                f"initial_state shape {state.shape}, expected ({g}, {size})"
+            )
+
+    # States live as (G, N, 1) columns so each step is one batched matmul
+    # writing straight into its scratch row.
+    state = state[..., None]
     out = np.empty((g, size, n - washout))
-    for t in range(n):
-        state = np.tanh(proj[:, :, t] + np.einsum("gnm,gm->gn", internal_weights, state) + biases)
-        if t >= washout:
-            out[:, :, t - washout] = state
+    scratch = np.empty((min(RECURRENCE_CHUNK, n), g, size, 1))
+    for lo in range(0, n, RECURRENCE_CHUNK):
+        hi = min(lo + RECURRENCE_CHUNK, n)
+        drive = np.einsum("gnk,kt->tgn", input_weights, inputs[:, lo:hi])
+        drive += biases
+        drive = drive[..., None]
+        for t in range(hi - lo):
+            row = scratch[t]
+            np.matmul(internal_weights, state, out=row)
+            row += drive[t]
+            np.tanh(row, out=row)
+            state = row
+        first = max(lo, washout)
+        if first < hi:
+            chunk = scratch[first - lo : hi - lo, :, :, 0]
+            out[:, :, first - washout : hi - washout] = chunk.transpose(1, 2, 0)
     return out
 
 

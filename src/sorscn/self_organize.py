@@ -497,7 +497,10 @@ def run_stream(
     blocks keep their state and new blocks start from zero. Failures inside a
     window are recorded on its verdict and the stream moves on; a failed
     restructure leaves the model and the reservoir state as they were before
-    the window.
+    the window. A window with a non-finite input or target gets action
+    ``none`` and a note beginning ``non-finite``: no projection update and no
+    restructure, and after non-finite inputs the reservoir state stays as it
+    was before the window.
 
     ``prediction_sink``, when given, receives each window's prediction matrix
     as made *before* that window's action — the honest streaming forecast.
@@ -534,7 +537,16 @@ def run_stream(
         blocks_before = model.n_blocks
         note = ""
 
-        if action == "none":
+        # A non-finite sample reaches neither the readout nor the structure;
+        # in the inputs it would also poison the carried reservoir state.
+        if not np.isfinite(win_in).all():
+            action = "none"
+            note = "non-finite inputs: no update, pre-window state kept"
+        elif not np.isfinite(win_tg).all():
+            action = "none"
+            note = "non-finite targets: no update"
+            state = states.final_state
+        elif action == "none":
             state = states.final_state
 
         elif action == "online_update":

@@ -9,7 +9,10 @@ from conftest import make_model, zero_block
 from sorscn.errors import DegenerateMatrix, DimensionMismatch, WashoutTooLarge
 from sorscn.reservoir import (
     DEGENERATE_RADIUS,
+    RECURRENCE_CHUNK,
     EnsembleModel,
+    harvest_block_states,
+    harvest_candidate_states,
     harvest_states,
     new_random_block,
     scale_spectral,
@@ -195,6 +198,114 @@ class TestHarvestStates:
         offs = model.block_offsets()
         for k in range(3):
             assert np.array_equal(sm.per_block[k], sm.stacked[offs[k] : offs[k + 1]])
+
+
+def _reference_states(model, inputs, washout, initial_state=None):
+    """Post-washout states from a per-block, per-sample loop (the reference)."""
+    offs = model.block_offsets()
+    state = np.zeros(model.total_size) if initial_state is None else initial_state.copy()
+    cols = []
+    for t in range(inputs.shape[1]):
+        state = np.concatenate([
+            np.tanh(
+                blk.input_weights @ inputs[:, t]
+                + blk.internal_weights @ state[offs[k] : offs[k + 1]]
+                + blk.bias
+            )
+            for k, blk in enumerate(model.blocks)
+        ])
+        cols.append(state)
+    return np.array(cols[washout:]).T
+
+
+def _mixed_model(seed=0, input_dim=2):
+    """An rscn-style seed block of 7 nodes followed by three gated 5-node blocks."""
+    rng = np.random.default_rng(seed)
+    sizes = [7, 5, 5, 5]
+    blocks = [
+        new_random_block(rng, size=s, input_dim=input_dim, scale=1.0, theta=0.9, block_id=k)
+        for k, s in enumerate(sizes)
+    ]
+    return EnsembleModel(
+        blocks=blocks, readout=np.zeros((1, sum(sizes))), input_dim=input_dim, output_dim=1
+    )
+
+
+def _esn_model(seed=0, input_dim=2):
+    rng = np.random.default_rng(seed)
+    blk = new_random_block(
+        rng, size=40, input_dim=input_dim, scale=1.0, theta=0.9, block_id=0, sparsity=0.1
+    )
+    return EnsembleModel(blocks=[blk], readout=np.zeros((1, 40)), input_dim=input_dim, output_dim=1)
+
+
+class TestRecurrenceKernel:
+    """The one batched kernel against a loop written out here."""
+
+    @pytest.mark.parametrize("make", [_mixed_model, _esn_model])
+    @pytest.mark.parametrize("washout", [0, 150])
+    def test_model_harvest_matches_per_block_reference(self, make, washout):
+        model = make(seed=3)
+        inputs = np.random.default_rng(4).uniform(-1, 1, (2, 300))
+        init = np.random.default_rng(5).uniform(-0.5, 0.5, model.total_size)
+        for initial_state in (None, init):
+            sm = harvest_states(model, inputs, washout, initial_state=initial_state)
+            ref = _reference_states(model, inputs, washout, initial_state)
+            assert sm.stacked.shape == ref.shape
+            assert np.abs(sm.stacked - ref).max() <= 1e-12
+            assert np.abs(sm.final_state - ref[:, -1]).max() <= 1e-12
+
+    def test_split_across_chunk_boundary_matches_one_call(self):
+        assert 130 > RECURRENCE_CHUNK
+        model = _mixed_model(seed=6)
+        inputs = np.random.default_rng(7).uniform(-1, 1, (2, 300))
+        joint = harvest_states(model, inputs, washout=0)
+        first = harvest_states(model, inputs[:, :130], washout=0)
+        second = harvest_states(model, inputs[:, 130:], washout=0, initial_state=first.final_state)
+        rejoined = np.hstack([first.stacked, second.stacked])
+        assert np.abs(rejoined - joint.stacked).max() <= 1e-15
+        assert np.abs(second.final_state - joint.final_state).max() <= 1e-15
+
+    def test_step_state_is_a_one_sample_harvest(self):
+        model = _mixed_model(seed=8)
+        prev = np.random.default_rng(9).uniform(-0.5, 0.5, model.total_size)
+        u = np.array([0.3, -0.7])
+        out = step_state(model, prev, u)
+        one = harvest_states(model, u[:, None], washout=0, initial_state=prev)
+        assert np.array_equal(out, one.stacked[:, 0])
+        ref = _reference_states(model, u[:, None], 0, prev)[:, 0]
+        assert np.abs(out - ref).max() <= 1e-12
+
+    def test_candidate_kernel_continues_from_initial_state(self):
+        model = _mixed_model(seed=10)
+        gated = model.blocks[1:]
+        win = np.stack([b.input_weights for b in gated])
+        wr = np.stack([b.internal_weights for b in gated])
+        bias = np.stack([b.bias for b in gated])
+        inputs = np.random.default_rng(11).uniform(-1, 1, (2, 200))
+        first = harvest_candidate_states(win, wr, bias, inputs[:, :90], washout=0)
+        second = harvest_candidate_states(
+            win, wr, bias, inputs[:, 90:], washout=20, initial_state=first[:, :, -1]
+        )
+        for g, blk in enumerate(gated):
+            single = EnsembleModel(
+                blocks=[blk], readout=np.zeros((1, blk.size)), input_dim=2, output_dim=1
+            )
+            ref = _reference_states(single, inputs, washout=110)
+            assert np.abs(second[g] - ref).max() <= 1e-12
+            cont = harvest_block_states(blk, inputs[:, 90:], 20, initial_state=first[g, :, -1])
+            assert np.array_equal(second[g], cont)
+
+    def test_input_and_state_shapes_are_checked(self):
+        blk = _mixed_model(seed=12).blocks[1]
+        with pytest.raises(DimensionMismatch):
+            harvest_block_states(blk, np.zeros((3, 10)), washout=0)
+        with pytest.raises(DimensionMismatch):
+            harvest_block_states(blk, np.zeros(10), washout=0)
+        with pytest.raises(DimensionMismatch):
+            harvest_block_states(blk, np.zeros((2, 10)), washout=0, initial_state=np.zeros(4))
+        with pytest.raises(WashoutTooLarge):
+            harvest_block_states(blk, np.zeros((2, 10)), washout=10)
 
 
 class TestNewRandomBlock:

@@ -514,6 +514,51 @@ class TestRunStream:
         joint = model.predict(harvest_states(model, stream[0], washout=0))
         assert np.allclose(np.hstack(sink), joint, atol=1e-13)
 
+    def test_single_nan_input_does_not_poison_later_windows(self):
+        from sorscn.construct import build_initial
+        from sorscn.datastream import SyntheticStreamSpec, generate_synthetic
+
+        ds = generate_synthetic(SyntheticStreamSpec("drifting_sine", (300, 400), seed=0))
+        cfg = ConstructionConfig(max_blocks=6, block_size=5, candidates_per_setting=10, rng_seed=0)
+        train_in, train_tg = ds.inputs[:, :300], ds.targets[:, :300]
+        model = build_initial(cfg, (train_in, train_tg), washout=20)
+        train_states = harvest_states(model, train_in, washout=20)
+        interval = calibrate_interval(
+            train_tg[:, 20:] - model.predict(train_states), window_size=40
+        )
+        stream_in = ds.inputs[:, 300:].copy()
+        stream_in[0, 45] = np.nan  # inside window 1
+        out, verdicts = run_stream(
+            model, (stream_in, ds.targets[:, 300:]), cfg, interval,
+            StreamConfig(window_size=40), initial_state=train_states.final_state,
+        )
+        assert len(verdicts) == 10
+        assert verdicts[1].action == "none"
+        assert verdicts[1].note.startswith("non-finite")
+        assert verdicts[1].blocks_after == verdicts[1].blocks_before
+        for v in verdicts[2:]:
+            assert np.isfinite(v.error_norm), v
+        assert np.isfinite(out.readout).all()
+
+    def test_nan_target_skips_update_but_advances_state(self):
+        model, cfg = self._trained()
+        inputs, targets = _sine_problem(40, seed=7)
+        targets = targets.copy()
+        targets[0, 5] = np.nan
+        readout = model.readout.copy()
+        joint = model.predict(harvest_states(model, inputs, washout=0))
+        sink = []
+        out, verdicts = run_stream(
+            model, (inputs, targets), cfg, ErrorInterval(0.0, 1e9),
+            StreamConfig(window_size=20), prediction_sink=sink,
+        )
+        assert [v.action for v in verdicts] == ["none", "online_update"]
+        assert verdicts[0].note.startswith("non-finite")
+        # The first window's update was skipped and its state carried on.
+        assert np.allclose(sink[1], joint[:, 20:], atol=1e-13)
+        assert np.isfinite(out.readout).all()
+        assert not np.array_equal(out.readout, readout)
+
     def test_history_refit_scope_requires_history(self):
         model, cfg = self._trained()
         stream = _sine_problem(40, seed=7)
