@@ -35,14 +35,12 @@ from .experiment import (
     build_variant_model,
     compare_variants,
     grid_search,
-    nrmse,
     prepare_dataset,
     static_eval,
+    stream_and_score,
     write_surface_csv,
 )
 from .model_io import load_model, save_model
-from .reservoir import harvest_states
-from .self_organize import calibrate_interval, run_stream
 
 _DATA_ERRORS = (
     MissingColumn,
@@ -112,12 +110,12 @@ def _load_config(args) -> tuple[ExperimentConfig, dict]:
     raw = raw or {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    sweep = raw.pop("sweep", None)
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         _assign_dotted(raw, key.strip(), yaml.safe_load(value))
+    sweep = raw.pop("sweep", None)
     if args.variant is not None:
         raw.setdefault("model", {})["variant"] = args.variant
     run_section = raw.setdefault("run", {})
@@ -159,36 +157,14 @@ def _cmd_stream(args) -> int:
         model = load_model(args.model)
     else:
         model, rng = build_variant_model(cfg.model, train, validation, cfg.run.base_seed)
-    train_states = harvest_states(model, train.inputs, train.washout)
-    residual = train.targets[:, train.washout :] - model.predict(train_states)
-    interval = calibrate_interval(
-        residual, cfg.model.window_size, cfg.model.kappa_lo, cfg.model.kappa_hi
+    model, verdicts, interval, score = stream_and_score(
+        cfg.model, model, train, test, cfg.run.base_seed, rng
     )
-    history = (
-        (train.inputs, train.targets, train.washout)
-        if cfg.model.refit_scope == "window_plus_history"
-        else None
-    )
-    sink: list = []
-    model, verdicts = run_stream(
-        model,
-        test.pair(),
-        cfg.model.construction_config(cfg.run.base_seed),
-        interval,
-        cfg.model.stream_config(),
-        initial_state=train_states.final_state,
-        rng=rng,
-        history=history,
-        start_index=train.n_samples,
-        prediction_sink=sink,
-    )
-    predictions = np.hstack(sink)
     out = _out_dir(cfg)
     with open(os.path.join(out, "stream_timeline.jsonl"), "w") as fh:
         for v in verdicts:
             fh.write(json.dumps(v.to_record(), sort_keys=True) + "\n")
     save_model(model, os.path.join(out, "model_streamed.npz"))
-    w = test.washout
     print(f"interval: [{interval.e_min:.6f}, {interval.e_max:.6f}]")
     actions = [v.action for v in verdicts]
     print(
@@ -196,7 +172,7 @@ def _cmd_stream(args) -> int:
         f"{actions.count('online_update')} online, {actions.count('restructure')} restructure"
     )
     print(f"final structure: {model.n_blocks} blocks, {model.total_size} nodes")
-    print(f"stream NRMSE: {nrmse(predictions[:, w:], test.targets[:, w:]):.6f}")
+    print(f"stream NRMSE: {score:.6f}")
     print(f"artifacts in {out}")
     return 0
 
@@ -233,11 +209,10 @@ def _cmd_sweep(args) -> int:
     cfg, sweep = _load_config(args)
     if not sweep:
         raise ConfigError("sweep needs a 'sweep' section mapping model fields to value lists")
-    trials = args.trials if args.trials is not None else 5
-    best, surface = grid_search(cfg, sweep, trials=trials)
+    best, surface = grid_search(cfg, sweep, trials=cfg.run.trials)
     out = _out_dir(cfg)
     write_surface_csv(surface, os.path.join(out, "sweep.csv"))
-    print(f"swept {len(surface)} points x {trials} trials")
+    print(f"swept {len(surface)} points x {cfg.run.trials} trials")
     print(f"best point: {best['point']}")
     print(
         f"validation NRMSE {best['validation_nrmse_mean']:.6f}"

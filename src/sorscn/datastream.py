@@ -1,9 +1,9 @@
 """Series ingestion and preparation.
 
-Covers CSV loading with lagged-feature construction, train/validation/test
-splitting with washout bookkeeping, per-feature normalization fit on training
-rows only, noise-derived validation copies, and seeded synthetic
-nonstationary generators for driver and ordering tests.
+Covers delimited-file loading with lagged-feature construction,
+train/validation/test splitting with washout bookkeeping, per-feature
+normalization fit on training rows only, noise-derived validation copies, and
+seeded synthetic nonstationary generators for driver and ordering tests.
 
 Arrays follow the library convention: inputs K x n, targets L x n.
 """
@@ -11,6 +11,7 @@ Arrays follow the library convention: inputs K x n, targets L x n.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -146,25 +147,37 @@ class Segment:
         return self.inputs, self.targets
 
 
-def load_csv(path, schema: dict, normalization: str = "none", train_end: Optional[int] = None) -> SeriesDataset:
-    """Load a comma-separated series and build features per the schema.
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def load_csv(path, schema: dict) -> SeriesDataset:
+    """Load a delimited series and build features per the schema.
 
     ``schema`` maps feature names to roles, in feature order:
 
-    * ``"input"`` — the CSV column of that name, used as-is;
-    * ``"target"`` — the CSV column of that name, predicted output;
-    * ``"lag(col,k)"`` — the CSV column ``col`` delayed by ``k`` samples,
+    * ``"input"`` — the file column of that name, used as-is;
+    * ``"target"`` — the file column of that name, predicted output;
+    * ``"lag(col,k)"`` — the file column ``col`` delayed by ``k`` samples,
       used as an input (e.g. the previous target as a feature).
+
+    The layout is read from the first line. Cells are comma-separated if it
+    contains a comma, otherwise separated by any run of whitespace. If its
+    first cell parses as a number the file has no header, and its columns
+    take, in order, the names of the schema's ``input`` and ``target``
+    features; their count must match the file's (``MissingColumn``
+    otherwise).
 
     The first ``max(k)`` rows are consumed by lag alignment and dropped from
     the front; ``metadata["lag_offset"]`` records the count so raw row
-    indices can be mapped to built sample indices. Cells that fail to parse
-    as numbers (including empty cells) are reported with 1-based data-row and
-    column coordinates.
-
-    When ``normalization`` is not ``"none"``, ``train_end`` (in built
-    indices) must be given; scalers are fit on those samples only and applied
-    to the whole series.
+    indices can be mapped to built sample indices. Blank lines are skipped.
+    Cells that fail to parse as numbers (including empty cells) are reported
+    with 1-based data-row and column coordinates. Values are returned as
+    read; normalization is the caller's (``fit_normalization``).
     """
     roles: list[tuple[str, str, str, int]] = []  # (feature, kind, column, lag)
     target_names = []
@@ -183,12 +196,23 @@ def load_csv(path, schema: dict, normalization: str = "none", train_end: Optiona
         raise ConfigError("schema declares no target column")
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        comma = "," in fh.readline()
+        fh.seek(0)
+        reader = csv.reader(fh) if comma else (line.split() for line in fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyFile(f"{path} has no header row") from None
+            raise EmptyFile(f"{path} is empty") from None
         header = [h.strip() for h in header]
+        if header and _parses_as_float(header[0]):
+            names = [feature for feature, kind, _, _ in roles if kind != "lag"]
+            if len(header) != len(names):
+                raise MissingColumn(
+                    f"headerless file has {len(header)} column(s), "
+                    f"schema names {len(names)}: {names}"
+                )
+            reader = itertools.chain([header], reader)
+            header = names
         col_index = {name: i for i, name in enumerate(header)}
         needed = {column for _, _, column, _ in roles}
         missing = sorted(needed - col_index.keys())
@@ -229,20 +253,13 @@ def load_csv(path, schema: dict, normalization: str = "none", train_end: Optiona
             input_rows.append(values)
             input_names.append(feature)
 
-    ds = SeriesDataset(
+    return SeriesDataset(
         inputs=np.vstack(input_rows),
         targets=np.vstack(target_rows),
         feature_names=input_names,
         target_names=target_names,
         metadata={"lag_offset": max_lag, "source": str(path)},
     )
-    if normalization != "none":
-        if train_end is None:
-            raise ConfigError("normalization requires train_end (fit on training rows only)")
-        norm = fit_normalization(ds.inputs, ds.targets, train_end, normalization)
-        ds.inputs, ds.targets = norm.apply(ds.inputs, ds.targets)
-        ds.normalization = norm
-    return ds
 
 
 def make_validation(

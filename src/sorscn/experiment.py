@@ -31,15 +31,15 @@ import numpy as np
 from .construct import ConstructionConfig, build_initial, refit_readout
 from .datastream import (
     Segment,
-    SeriesDataset,
     SyntheticStreamSpec,
+    fit_normalization,
     generate_synthetic,
     load_csv,
     split_and_washout,
 )
 from .errors import AllTrialsFailed, ConfigError, DimensionMismatch, SorscnError, ZeroVariance
 from .reservoir import EnsembleModel, harvest_states, new_random_block, replace_readout
-from .self_organize import StreamConfig, calibrate_interval, run_stream
+from .self_organize import ErrorInterval, StreamConfig, calibrate_interval, run_stream
 
 VARIANTS = ("esn", "rscn", "sorscn1", "sorscn2")
 
@@ -260,25 +260,22 @@ def aggregate_trials(trials: list) -> dict:
 
 
 def prepare_dataset(dcfg: DatasetConfig) -> tuple[Segment, Segment, Segment]:
-    """Load or generate the series and cut it into the three segments."""
-    if dcfg.synthetic is not None:
-        spec = SyntheticStreamSpec(**dcfg.synthetic)
-        ds = generate_synthetic(spec)
-        train_end = dcfg.train_end
-        if dcfg.normalization != "none":
-            from .datastream import fit_normalization
+    """Load or generate the series, normalize it, and cut it into three segments.
 
-            norm = fit_normalization(ds.inputs, ds.targets, train_end, dcfg.normalization)
-            ds.inputs, ds.targets = norm.apply(ds.inputs, ds.targets)
-            ds.normalization = norm
+    A file source is read once by ``load_csv``; its ``train_end`` counts raw
+    rows, so it shifts left by the rows consumed for lag features. Either
+    source is then normalized with scalers fit on the training samples only.
+    """
+    if dcfg.synthetic is not None:
+        ds = generate_synthetic(SyntheticStreamSpec(**dcfg.synthetic))
+        train_end = dcfg.train_end
     else:
-        # Raw row indices shift left by the rows consumed for lag features.
-        probe = load_csv(dcfg.source, dcfg.schema, normalization="none")
-        train_end = dcfg.train_end - probe.metadata["lag_offset"]
-        if dcfg.normalization != "none":
-            ds = load_csv(dcfg.source, dcfg.schema, dcfg.normalization, train_end)
-        else:
-            ds = probe
+        ds = load_csv(dcfg.source, dcfg.schema)
+        train_end = dcfg.train_end - ds.metadata["lag_offset"]
+    if dcfg.normalization != "none":
+        norm = fit_normalization(ds.inputs, ds.targets, train_end, dcfg.normalization)
+        ds.inputs, ds.targets = norm.apply(ds.inputs, ds.targets)
+        ds.normalization = norm
     return split_and_washout(
         ds,
         train_end,
@@ -334,6 +331,48 @@ def build_variant_model(
     return model, rng
 
 
+def stream_and_score(
+    mcfg: ModelConfig,
+    model: EnsembleModel,
+    train: Segment,
+    test: Segment,
+    seed: int,
+    rng: Optional[np.random.Generator],
+) -> tuple[EnsembleModel, list, ErrorInterval, float]:
+    """Stream the test split through an adaptive model and score it.
+
+    The error interval is calibrated on the model's training residual, and
+    the stream starts from the reservoir state at the end of training.
+    ``seed`` and ``rng`` drive regrowth (``rng=None`` draws from ``seed``).
+    Returns the streamed model, the window verdicts, the interval and the
+    testing NRMSE past the washout.
+    """
+    train_states = harvest_states(model, train.inputs, train.washout)
+    residual = train.targets[:, train.washout :] - model.predict(train_states)
+    interval = calibrate_interval(residual, mcfg.window_size, mcfg.kappa_lo, mcfg.kappa_hi)
+    history = (
+        (train.inputs, train.targets, train.washout)
+        if mcfg.refit_scope == "window_plus_history"
+        else None
+    )
+    sink: list = []
+    model, verdicts = run_stream(
+        model,
+        test.pair(),
+        mcfg.construction_config(seed),
+        interval,
+        mcfg.stream_config(),
+        initial_state=train_states.final_state,
+        rng=rng,
+        history=history,
+        start_index=train.n_samples,
+        prediction_sink=sink,
+    )
+    w = test.washout
+    score = nrmse(np.hstack(sink)[:, w:], test.targets[:, w:])
+    return model, verdicts, interval, score
+
+
 def run_trial(
     cfg: ExperimentConfig,
     train: Segment,
@@ -351,32 +390,8 @@ def run_trial(
     if mcfg.variant in ("esn", "rscn"):
         record.testing_nrmse = static_eval(model, test)
     else:
-        train_states = harvest_states(model, train.inputs, train.washout)
-        residual = train.targets[:, train.washout :] - model.predict(train_states)
-        interval = calibrate_interval(
-            residual, mcfg.window_size, mcfg.kappa_lo, mcfg.kappa_hi
-        )
-        history = (
-            (train.inputs, train.targets, train.washout)
-            if mcfg.refit_scope == "window_plus_history"
-            else None
-        )
-        sink: list = []
-        model, verdicts = run_stream(
-            model,
-            test.pair(),
-            mcfg.construction_config(seed),
-            interval,
-            mcfg.stream_config(),
-            initial_state=train_states.final_state,
-            rng=rng,
-            history=history,
-            start_index=train.n_samples,
-            prediction_sink=sink,
-        )
-        predictions = np.hstack(sink)
-        record.testing_nrmse = nrmse(
-            predictions[:, test.washout :], test.targets[:, test.washout :]
+        model, verdicts, _, record.testing_nrmse = stream_and_score(
+            mcfg, model, train, test, seed, rng
         )
         record.timeline = [v.to_record() for v in verdicts]
         record.n_restructures = sum(1 for v in verdicts if v.action == "restructure")

@@ -1,10 +1,11 @@
 """Acceptance gate: one check per criterion, one verdict line each.
 
-Criterion 1 reproduces the debutanizer soft-sensor benchmark and needs the
-public dataset (2394 rows, 7 process variables + butane content). Point
-``SORSCN_DEBUTANIZER_CSV`` at the file, or drop it at ``data/debutanizer.csv``
-(comma- or whitespace-separated, with or without a header row); absent that,
-the check is skipped. Everything else is self-contained and seeded.
+Criterion 1 reproduces the debutanizer soft-sensor benchmark with
+``configs/debutanizer.yaml`` and needs the public dataset (2394 rows, 7
+process variables + butane content). Point ``SORSCN_DEBUTANIZER_CSV`` at the
+file, or drop it at ``data/debutanizer.csv`` (comma- or whitespace-separated,
+with or without a header row: ``load_csv`` reads both); absent that, the
+check is skipped. Everything else is self-contained and seeded.
 """
 
 import json
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from sorscn.construct import ConstructionConfig, build_initial, refit_readout
+from sorscn.datastream import load_csv
 from sorscn.experiment import (
     ExperimentConfig,
     build_variant_model,
@@ -75,30 +78,8 @@ def _locate_debutanizer():
     return None
 
 
-def _normalize_debutanizer(raw_path: Path, out_path: Path) -> Path:
-    """Accept the benchmark file in its common layouts; emit headered CSV."""
-    first = raw_path.read_text().splitlines()[0]
-    delimiter = "," if "," in first else None  # None: any whitespace
-    try:
-        float(first.replace(",", " ").split()[0])
-        skip = 0
-    except ValueError:
-        skip = 1  # header row present
-    table = np.loadtxt(raw_path, delimiter=delimiter, skiprows=skip)
-    if table.shape != (2394, 8):
-        raise AssertionError(
-            f"expected 2394 rows x 8 columns (u1..u7, y), found {table.shape}"
-        )
-    names = [f"u{i}" for i in range(1, 8)] + ["y"]
-    with open(out_path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-    return out_path
-
-
 @pytest.mark.filterwarnings(*_SORSCN_WARNINGS)
-def test_criterion_01_debutanizer_reproduction(tmp_path):
+def test_criterion_01_debutanizer_reproduction():
     raw = _locate_debutanizer()
     if raw is None:
         print(
@@ -107,21 +88,13 @@ def test_criterion_01_debutanizer_reproduction(tmp_path):
         )
         pytest.skip("debutanizer dataset not available in this checkout")
 
-    csv_path = _normalize_debutanizer(raw, tmp_path / "debutanizer.csv")
-    schema = {f"u{i}": "input" for i in range(1, 8)}
-    schema["y"] = "target"
-    cfg = ExperimentConfig.from_dict(
-        {
-            "dataset": {
-                "source": str(csv_path),
-                "schema": schema,
-                "train_end": 1500,
-                "washout": 100,
-                "normalization": "minmax",
-            },
-            "model": {"variant": "sorscn2"},  # default grids, 10-node blocks, cap 300 nodes
-            "run": {"trials": 50, "base_seed": 0},
-        }
+    spec = yaml.safe_load((_REPO / "configs" / "debutanizer.yaml").read_text())
+    spec["dataset"]["source"] = str(raw)
+    cfg = ExperimentConfig.from_dict(spec)
+    ds = load_csv(raw, cfg.dataset.schema)
+    assert (ds.n_samples, ds.input_dim) == (2394, 7), (
+        f"expected 2394 rows x 8 columns (u1..u7, y), "
+        f"found {ds.n_samples} samples x {ds.input_dim} inputs"
     )
     reports = compare_variants(cfg, variants=("esn", "sorscn2"))
     sorscn2 = reports["sorscn2"].aggregates["testing_nrmse"]["mean"]

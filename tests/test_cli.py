@@ -1,14 +1,19 @@
 """Exit codes, overrides, and artifacts of the command-line runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from sorscn.cli import main
+from sorscn.cli import _build_parser, _load_config, main
 from sorscn.datastream import SyntheticStreamSpec, generate_synthetic, load_csv
+from sorscn.experiment import ExperimentConfig, prepare_dataset, run_trial
 from sorscn.model_io import load_model
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 
 
 def base_config(**overrides):
@@ -116,6 +121,16 @@ class TestStream:
         assert {"action", "error_norm", "window_index"} <= set(record)
         assert load_model(out_dir / "model_streamed.npz").n_blocks >= 1
 
+    @pytest.mark.filterwarnings("ignore::sorscn.errors.ConstructionStalledWarning")
+    def test_stream_scores_like_a_trial(self, tmp_path, capsys):
+        config = str(CONFIG_DIR / "synthetic_compare.yaml")
+        argv = ["--config", config, "--seed", "3", "--variant", "sorscn2"]
+        assert main(["stream", *argv, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.split("stream NRMSE: ")[1].split()[0]
+        cfg, _ = _load_config(_build_parser().parse_args(["stream", *argv]))
+        record = run_trial(cfg, *prepare_dataset(cfg.dataset), trial=0)
+        assert printed == f"{record.testing_nrmse:.6f}"
+
     def test_static_variants_cannot_stream(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["stream", "--config", cfg]) == 1
@@ -147,6 +162,26 @@ class TestCompareSweepGen:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,")
         assert len(lines) == 3
+
+    def test_sweep_runs_the_configured_trials(self, tmp_path, capsys):
+        raw = base_config()
+        raw["sweep"] = {"gamma": [0.006, 0.01]}
+        cfg = write_config(tmp_path, raw)  # run.trials: 1, no --trials flag
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+        assert "swept 2 points x 1 trials" in capsys.readouterr().out
+
+    def test_set_overrides_the_sweep_section(self, tmp_path, capsys):
+        raw = base_config()
+        raw["sweep"] = {"gamma": [0.006, 0.01]}
+        cfg = write_config(tmp_path, raw)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", cfg, "--out", str(out_dir)]
+        code = main(argv + ["--set", "sweep.gamma=[0.3]", "--set", "sweep.alpha=[0.3, 0.5]"])
+        assert code == 0
+        assert "swept 2 points x 1 trials" in capsys.readouterr().out
+        lines = (out_dir / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("gamma,alpha,")
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0.3", "0.3"], ["0.3", "0.5"]]
 
     def test_sweep_without_section_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -183,6 +218,14 @@ class TestCompareSweepGen:
         }
         cfg = write_config(tmp_path, raw)
         assert main(["gen", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[c.name for c in CONFIGS])
+def test_shipped_config_loads(path):
+    args = _build_parser().parse_args(["compare", "--config", str(path)])
+    cfg, sweep = _load_config(args)
+    assert isinstance(cfg, ExperimentConfig)
+    assert bool(sweep) == (path.name == "sweep_alpha_gamma.yaml")
 
 
 class TestExitCodes:

@@ -106,21 +106,58 @@ class TestLoadCsv:
         with pytest.raises(ConfigError):
             load_csv(p, {"u": "features", "y": "target"})  # unknown role
 
-    def test_normalization_fit_on_training_rows_only(self, tmp_path):
-        lines = ["u,y"] + [f"{i},{2 * i}" for i in range(1, 11)]
-        p = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
-        ds = load_csv(p, {"u": "input", "y": "target"}, normalization="minmax", train_end=5)
-        # Scaler saw u in [1, 5]; the test rows extrapolate past 1.
-        assert ds.inputs[0, 0] == pytest.approx(0.0)
-        assert ds.inputs[0, 4] == pytest.approx(1.0)
-        assert ds.inputs[0, 9] == pytest.approx((10 - 1) / 4)
-        restored = ds.normalization.invert_targets(ds.targets)
-        assert np.allclose(restored[0], [2.0 * i for i in range(1, 11)], atol=1e-12)
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"u1": "input", "u2": "input", "y": "target"},
+            {"u1": "input", "y_prev": "lag(y,1)", "u2": "input", "y": "target"},
+        ],
+        ids=["plain", "lagged"],
+    )
+    def test_whitespace_headerless_equals_comma_headered(self, tmp_path, schema):
+        rows = np.random.default_rng(4).normal(0.0, 3.0, (30, 3))
+        comma = write_csv(
+            tmp_path / "d.csv",
+            "u1,u2,y\n" + "".join(",".join(f"{v:.10g}" for v in r) + "\n" for r in rows),
+        )
+        # Tabs and runs of spaces, and a blank line, in the whitespace layout.
+        lines = ["\t".join(f"{v:.10g}" for v in r).replace("\t", "   ", 1) for r in rows]
+        lines.insert(10, "  ")
+        bare = write_csv(tmp_path / "d.txt", "\n".join(lines) + "\n")
+        want, got = load_csv(comma, schema), load_csv(bare, schema)
+        assert np.array_equal(got.inputs, want.inputs)
+        assert np.array_equal(got.targets, want.targets)
+        assert got.feature_names == want.feature_names
+        assert got.metadata["lag_offset"] == want.metadata["lag_offset"]
 
-    def test_normalization_requires_train_end(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", "u,y\n1,2\n3,4\n")
-        with pytest.raises(ConfigError):
-            load_csv(p, {"u": "input", "y": "target"}, normalization="minmax")
+    def test_comma_headerless_and_whitespace_headered(self, tmp_path):
+        schema = {"u": "input", "y": "target"}
+        want = load_csv(write_csv(tmp_path / "a.csv", "u,y\n1,2\n3,4\n"), schema)
+        for name, text in (("b.csv", "1,2\n3,4\n"), ("c.txt", "u y\n1 2\n3 4\n")):
+            got = load_csv(write_csv(tmp_path / name, text), schema)
+            assert np.array_equal(got.inputs, want.inputs)
+            assert np.array_equal(got.targets, want.targets)
+
+    def test_whitespace_non_numeric_cell_coordinates(self, tmp_path):
+        rows = [f"{i} {i}" for i in range(1, 5)] + ["", "5 oops", "6 6"]
+        p = write_csv(tmp_path / "d.txt", "\n".join(rows) + "\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(p, {"u": "input", "y": "target"})
+        assert exc.value.row == 5  # the blank line is not a data row
+        assert exc.value.column == "y"
+        assert exc.value.value == "oops"
+
+    def test_whitespace_short_row_counts_as_missing_cell(self, tmp_path):
+        p = write_csv(tmp_path / "d.txt", "u y\n1 2\n3\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(p, {"u": "input", "y": "target"})
+        assert exc.value.row == 2 and exc.value.column == "y"
+
+    def test_headerless_column_count_must_match_schema(self, tmp_path):
+        for name, text in (("a.txt", "1 2 3\n4 5 6\n"), ("b.csv", "1\n2\n")):
+            p = write_csv(tmp_path / name, text)
+            with pytest.raises(MissingColumn):
+                load_csv(p, {"u": "input", "y_prev": "lag(y,1)", "y": "target"})
 
 
 class TestNormalization:

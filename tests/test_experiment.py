@@ -366,6 +366,26 @@ class TestPrepareDataset:
         assert train.n_samples == 29
         assert test.n_samples == 20
 
+    def test_csv_normalization_fit_on_train_samples_after_lag_shift(self, tmp_path):
+        lines = ["u,y"] + [f"{i},{2 * i}" for i in range(1, 21)]
+        p = tmp_path / "series.csv"
+        p.write_text("\n".join(lines) + "\n")
+        dcfg = DatasetConfig(
+            source=str(p),
+            schema={"u": "input", "y_prev": "lag(y,1)", "y": "target"},
+            train_end=10,  # raw rows: built samples 0..8, u = 2..10
+            washout=1,
+            normalization="minmax",
+        )
+        train, _, test = prepare_dataset(dcfg)
+        assert train.n_samples == 9
+        # Scaler saw u in [2, 10] and y in [4, 20]; the test rows extrapolate past 1.
+        assert train.inputs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert train.inputs[0, -1] == pytest.approx(1.0, abs=1e-12)
+        assert test.inputs[0, 0] == pytest.approx((11 - 2) / 8, abs=1e-12)
+        assert train.targets[0, -1] == pytest.approx(1.0, abs=1e-12)
+        assert test.targets[0, 0] == pytest.approx((22 - 4) / 16, abs=1e-12)
+
     def test_synthetic_normalization_fit_on_train(self):
         cfg = synthetic_config()
         cfg.dataset.normalization = "minmax"
