@@ -12,7 +12,6 @@ from .construct import (
     build_initial,
     propose_block,
     refit_readout,
-    score_candidate,
 )
 from .datastream import (
     Normalization,
@@ -58,7 +57,7 @@ from .experiment import (
     run_experiment,
 )
 from .model_io import load_model, save_model
-from .online_update import ProjectionState, project_step
+from .online_update import project_step
 from .reservoir import (
     EnsembleModel,
     StateMatrix,
@@ -68,7 +67,6 @@ from .reservoir import (
     new_random_block,
     scale_spectral,
     spectral_radius,
-    step_state,
 )
 from .self_organize import (
     ErrorInterval,

@@ -125,9 +125,8 @@ class CandidateScore:
     ``per_output`` holds, per output channel, how far the candidate clears the
     supervisory inequality; the candidate is acceptable when every entry is
     nonnegative. ``xi_total`` is their sum, the ranking key within a setting.
-    ``states`` holds the winner's post-washout states (N, n - washout) when
-    the score comes from :func:`propose_block`, so callers need not harvest
-    the accepted block again.
+    ``states`` holds the winner's post-washout states (N, n - washout), so
+    callers need not harvest the accepted block again.
     """
 
     xi_total: float
@@ -142,40 +141,22 @@ class CandidateScore:
         return bool(np.all(self.per_output >= 0.0))
 
 
-def score_candidate(
-    residual: np.ndarray, candidate_states: np.ndarray, r: float, mu: float
-) -> CandidateScore:
-    """Supervisory margins of one candidate state trajectory.
+def _score_block(
+    residual: np.ndarray, states: np.ndarray, r: float, mu: float
+) -> np.ndarray:
+    """Supervisory margins (G, L) of a batch of candidate trajectories (G, N, n).
 
-    Per output q with residual row e_q and candidate states X (N x n):
+    Per candidate with states X (N x n) and per output q with residual row
+    e_q:
 
         score_q = ||X e_q^T||^2 / <X, X>  -  (1 - r - mu) * ||e_q||^2
 
     where <X, X> is the squared Frobenius norm. The first term is the squared
     projection of the residual onto the candidate's trajectory directions; a
     trajectory collinear with the residual scores (r + mu) * ||e_q||^2, an
-    orthogonal one scores -(1 - r - mu) * ||e_q||^2.
+    orthogonal one scores -(1 - r - mu) * ||e_q||^2. A candidate is
+    acceptable when every margin is nonnegative.
     """
-    residual = np.atleast_2d(np.asarray(residual, dtype=float))
-    candidate_states = np.atleast_2d(np.asarray(candidate_states, dtype=float))
-    if residual.shape[1] != candidate_states.shape[1]:
-        raise DimensionMismatch(
-            f"residual has {residual.shape[1]} samples, states have {candidate_states.shape[1]}"
-        )
-    per_output = _score_block(residual, candidate_states[None, :, :], r, mu)[0]
-    return CandidateScore(
-        xi_total=float(per_output.sum()),
-        per_output=per_output,
-        candidate_index=0,
-        lambda_used=float("nan"),
-        r_used=r,
-    )
-
-
-def _score_block(
-    residual: np.ndarray, states: np.ndarray, r: float, mu: float
-) -> np.ndarray:
-    """Margins (G, L) for a batch of candidate trajectories (G, N, n)."""
     gram = np.einsum("gnt,gnt->g", states, states)
     if (gram <= ZERO_GRAM).any():
         raise ZeroStateNorm("candidate state trajectory has (numerically) zero norm")

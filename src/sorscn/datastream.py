@@ -49,12 +49,6 @@ class Normalization:
             (targets - self.target_offset[:, None]) / self.target_scale[:, None],
         )
 
-    def invert_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs * self.input_scale[:, None] + self.input_offset[:, None]
-
-    def invert_targets(self, targets: np.ndarray) -> np.ndarray:
-        return targets * self.target_scale[:, None] + self.target_offset[:, None]
-
 
 def _fit_affine(rows: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     if kind == "minmax":
@@ -138,10 +132,6 @@ class Segment:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[1]
-
-    @property
-    def effective_length(self) -> int:
-        return self.n_samples - self.washout
 
     def pair(self) -> tuple[np.ndarray, np.ndarray]:
         return self.inputs, self.targets

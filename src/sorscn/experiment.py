@@ -117,6 +117,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.guard_epsilon <= 0:
+            raise ConfigError(f"guard_epsilon must be positive, got {self.guard_epsilon}")
         self.lambda_grid = tuple(self.lambda_grid)
         self.r_grid = tuple(self.r_grid)
 

@@ -3,11 +3,8 @@
 A model saves as a single npz container holding every weight array plus one
 JSON metadata member (dimensions, per-block scaling metadata, structure
 history, schema version, and a sha256 digest over everything else). Loading
-verifies the digest before trusting the arrays.
-
-Schema v1 files — which predate the structure history and per-block scaling
-metadata — are migrated on read: the spectral target is recovered from the
-stored internal weights and the draw scale from the observed weight range.
+verifies the digest before trusting the arrays. Any schema version other
+than the current one is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import CorruptFile, VersionMismatch
-from .reservoir import EnsembleModel, StructureEvent, SubReservoir, spectral_radius
+from .reservoir import EnsembleModel, StructureEvent, SubReservoir
 
 SCHEMA_VERSION = 2
 
@@ -86,11 +83,9 @@ def load_model(path) -> EnsembleModel:
     """Read a model file, verifying version and integrity."""
     meta, arrays = _load_container(path)
     version = meta.get("schema_version")
-    if version == 1:
-        return _migrate_v1(meta, arrays, path)
     if version != SCHEMA_VERSION:
         raise VersionMismatch(
-            f"{path}: schema version {version!r}, reader supports 1 and {SCHEMA_VERSION}"
+            f"{path}: schema version {version!r}, reader supports {SCHEMA_VERSION}"
         )
     if meta.get("checksum") != _digest(arrays, meta):
         raise CorruptFile(f"{path}: checksum mismatch")
@@ -122,38 +117,3 @@ def load_model(path) -> EnsembleModel:
         history=history,
         stalled=bool(meta.get("stalled", False)),
     )
-
-
-def _migrate_v1(meta: dict, arrays: dict, path) -> EnsembleModel:
-    """Reconstruct a model from the legacy layout.
-
-    v1 stored only the raw weight arrays and dimensions — no history, no
-    checksum, no per-block scaling metadata. The spectral target is
-    recomputed from the internal weights (they were stored post-scaling) and
-    the draw scale taken as the largest observed input-weight/bias magnitude.
-    """
-    try:
-        n_blocks = int(meta["n_blocks"])
-        blocks = []
-        for k in range(n_blocks):
-            win = arrays[f"block{k}_input_weights"]
-            wr = arrays[f"block{k}_internal_weights"]
-            bias = arrays[f"block{k}_bias"]
-            blocks.append(
-                SubReservoir(
-                    input_weights=win,
-                    internal_weights=wr,
-                    bias=bias,
-                    scale_lambda=float(max(np.abs(win).max(), np.abs(bias).max())),
-                    spectral_target=float(spectral_radius(wr)),
-                    block_id=k,
-                )
-            )
-        return EnsembleModel(
-            blocks=blocks,
-            readout=arrays["readout"],
-            input_dim=int(meta["input_dim"]),
-            output_dim=int(meta["output_dim"]),
-        )
-    except KeyError as exc:
-        raise CorruptFile(f"{path}: v1 container missing member {exc}") from exc

@@ -9,56 +9,73 @@ The correction is rank-one and leaves predictions unchanged along directions
 orthogonal to g. A denominator floor guards the degenerate all-zero state:
 below it no update direction exists and the step is skipped outright, which
 keeps the exact-interpolation property unconditional whenever a step fires.
+
+A window's steps are applied in arrival order by one closed-form solve rather
+than one step per sample. Let S = [g_1 ... g_M] hold the window's states and
+R = Y - W_0 S its residuals under the pre-window readout W_0. Unrolling the
+recursion gives W_M = W_0 + C S^T, where column c_j of C is step j's
+coefficient (y_j - W_{j-1} g_j) / (g_j^T g_j). Since W_{j-1} = W_0 +
+sum_{k<j} c_k g_k^T, each step reads
+
+    c_j (g_j^T g_j) + sum_{k<j} c_k (g_k^T g_j) = r_j,
+
+which is column j of C U = R with U = triu(S^T S), the upper triangle of the
+window's Gram matrix. Solving that triangular system is therefore the same
+sequence of steps, equal up to rounding. A sample under the guard drops out
+of S and R: its coefficient is zero, exactly as if its step were skipped.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 
 
-@dataclass
-class ProjectionState:
-    """Live readout being updated in place, plus update bookkeeping.
+def project_step(
+    readout: np.ndarray,
+    states: np.ndarray,
+    targets: np.ndarray,
+    guard_epsilon: float = 1e-12,
+) -> tuple[int, int]:
+    """Apply one window's projection steps to ``readout`` in place.
 
-    ``readout_view`` aliases the model's readout matrix; steps mutate it
-    directly. Re-bind after any operation that replaces the readout array
-    (growth or pruning).
+    ``states`` (N, M) and ``targets`` (L, M) hold the window's samples in
+    arrival order; ``readout`` (L, N) ends where M sequential projection
+    steps would leave it. Samples with ``g . g`` below ``guard_epsilon`` have
+    no direction to correct along and are skipped. Returns the number of
+    steps ``(applied, skipped)``.
     """
+    if guard_epsilon <= 0:
+        raise ConfigError(f"guard_epsilon must be positive, got {guard_epsilon}")
+    states = np.asarray(states, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if states.ndim != 2 or states.shape[0] != readout.shape[1]:
+        raise DimensionMismatch(f"states shape {states.shape}, readout has {readout.shape[1]} columns")
+    if targets.shape != (readout.shape[0], states.shape[1]):
+        raise DimensionMismatch(
+            f"targets shape {targets.shape}, expected ({readout.shape[0]}, {states.shape[1]})"
+        )
 
-    readout_view: np.ndarray  # (L, total nodes)
-    guard_epsilon: float = 1e-12
-    updates_applied: int = 0
-    updates_skipped: int = 0
-
-    def __post_init__(self):
-        if self.guard_epsilon <= 0:
-            raise ConfigError(f"guard_epsilon must be positive, got {self.guard_epsilon}")
-
-
-def project_step(state: ProjectionState, g_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Apply one projection step in place; returns the (mutated) readout.
-
-    When ``g_hat . g_hat`` is below the guard the readout is returned
-    unchanged — there is no direction to correct along — and the skip is
-    counted instead of an update.
-    """
-    w = state.readout_view
-    g_hat = np.asarray(g_hat, dtype=float)
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    if g_hat.shape != (w.shape[1],):
-        raise DimensionMismatch(f"state vector shape {g_hat.shape}, readout has {w.shape[1]} columns")
-    if target.shape != (w.shape[0],):
-        raise DimensionMismatch(f"target shape {target.shape}, readout has {w.shape[0]} rows")
-
-    denom = float(g_hat @ g_hat)
-    if denom < state.guard_epsilon:
-        state.updates_skipped += 1
-        return w
-    innovation = target - w @ g_hat
-    w += np.outer(innovation / denom, g_hat)
-    state.updates_applied += 1
-    return w
+    gram = states.T @ states
+    sq_norms = np.diagonal(gram)
+    keep = sq_norms >= guard_epsilon
+    skipped = int(keep.size - np.count_nonzero(keep))
+    if skipped:
+        states, targets = states[:, keep], targets[:, keep]
+        gram, sq_norms = gram[np.ix_(keep, keep)], sq_norms[keep]
+    applied = states.shape[1]
+    if applied:
+        # Scaled by D = diag(|g_j|): (C D) (D^-1 U D^-1) = R D^-1. The scaled
+        # U holds cosines: a unit diagonal and no entry larger in magnitude,
+        # so partial pivoting keeps the diagonal and the solve is forward
+        # substitution, the recursion itself, one sample after another.
+        # Unscaled, samples of very different norms make it pivot and lose
+        # accuracy against the recursion.
+        norms = np.sqrt(sq_norms)
+        cosines = np.triu(gram) / np.outer(norms, norms)
+        np.fill_diagonal(cosines, 1.0)
+        residual = (targets - readout @ states) / norms
+        coeffs = np.linalg.solve(cosines.T, residual.T)  # (C D)^T
+        readout += ((states / norms) @ coeffs).T
+    return applied, skipped

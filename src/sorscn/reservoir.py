@@ -10,9 +10,8 @@ behaviour the readout relies on.
 There is one tanh recurrence, :func:`harvest_candidate_states`: a batched
 kernel over G equal-size blocks, run time-major in chunks. Model harvests
 (:func:`harvest_states`, one call per distinct block size), single-block
-harvests (:func:`harvest_block_states`, G = 1), single steps
-(:func:`step_state`, a one-sample harvest) and the candidate search all go
-through it.
+harvests (:func:`harvest_block_states`, G = 1) and the candidate search all
+go through it; a single step is a one-sample harvest.
 
 Shape conventions: inputs are K x n (features by samples), targets L x n,
 states N x n per block. Vectors are 1-D.
@@ -106,10 +105,6 @@ class EnsembleModel:
         return len(self.blocks)
 
     @property
-    def block_sizes(self) -> list[int]:
-        return [b.size for b in self.blocks]
-
-    @property
     def total_size(self) -> int:
         return sum(b.size for b in self.blocks)
 
@@ -196,25 +191,6 @@ def scale_spectral(raw: np.ndarray, theta: float) -> np.ndarray:
     if rho <= DEGENERATE_RADIUS:
         raise DegenerateMatrix(f"dominant eigenvalue magnitude {rho} is numerically zero")
     return (theta / rho) * np.asarray(raw, dtype=float)
-
-
-def step_state(model: EnsembleModel, prev_state: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """One step of the block-diagonal recurrence: a one-sample harvest.
-
-    Per block k: ``new^(k) = tanh(W_in^(k) u + W_r^(k) prev^(k) + b^(k))``.
-    Blocks are mutually independent.
-    """
-    prev_state = np.asarray(prev_state, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    if prev_state.shape != (model.total_size,):
-        raise DimensionMismatch(
-            f"prev_state has shape {prev_state.shape}, expected ({model.total_size},)"
-        )
-    if inputs.shape != (model.input_dim,):
-        raise DimensionMismatch(
-            f"input has shape {inputs.shape}, expected ({model.input_dim},)"
-        )
-    return harvest_states(model, inputs[:, None], washout=0, initial_state=prev_state).final_state
 
 
 def harvest_states(

@@ -2,7 +2,8 @@
 
 The driver walks the arriving series one window at a time and compares the
 window's prediction error against a calibrated interval. Small errors need no
-action; moderate errors trigger per-sample projection updates of the readout;
+action; moderate errors trigger projection updates of the readout, one per
+sample in arrival order, applied as one closed-form solve per window;
 large errors trigger restructuring — rank blocks by how much they contribute
 to the output over the window, keep the smallest prefix whose cumulative
 share clears a threshold, then grow new gated blocks against the window
@@ -33,7 +34,7 @@ from .errors import (
     NoCandidateFound,
     SorscnError,
 )
-from .online_update import ProjectionState, project_step
+from .online_update import project_step
 from .reservoir import (
     EnsembleModel,
     StateMatrix,
@@ -445,6 +446,8 @@ class StreamConfig:
             raise ConfigError("gamma must be >= 0")
         if self.refit_scope not in ("window", "window_plus_history"):
             raise ConfigError(f"unknown refit_scope {self.refit_scope!r}")
+        if self.guard_epsilon <= 0:
+            raise ConfigError(f"guard_epsilon must be positive, got {self.guard_epsilon}")
         cap = 1.0 + (self.alpha if self.variant == "improved" else 0.0)
         if self.gamma > cap:
             warnings.warn(
@@ -492,15 +495,22 @@ def run_stream(
 
     Per window: harvest states continuing from the live reservoir state,
     compare the window error norm against the interval, and act — nothing,
-    per-sample projection updates in arrival order, or prune-and-regrow. The
-    reservoir state carries across windows; after restructuring, retained
-    blocks keep their state and new blocks start from zero. Failures inside a
-    window are recorded on its verdict and the stream moves on; a failed
-    restructure leaves the model and the reservoir state as they were before
-    the window. A window with a non-finite input or target gets action
-    ``none`` and a note beginning ``non-finite``: no projection update and no
-    restructure, and after non-finite inputs the reservoir state stays as it
-    was before the window.
+    the window's projection updates (one :func:`project_step` call that
+    applies them in arrival order; zero-state samples are skipped and
+    counted in the note), or prune-and-regrow. The reservoir state carries
+    across windows; after restructuring, retained blocks keep their state
+    and new blocks start from zero. Failures inside a window are recorded on
+    its verdict and the stream moves on; a failed restructure leaves the
+    model and the reservoir state as they were before the window. A window
+    with a non-finite input or target gets action ``none`` and a note
+    beginning ``non-finite``: no projection update and no restructure, and
+    after non-finite inputs the reservoir state stays as it was before the
+    window.
+
+    The improved variant scores blocks by correlating their flattened window
+    states, so it needs every block, including the ones regrowth adds at
+    ``cfg.block_size``, to have one size; a model with mixed sizes raises
+    :class:`ConfigError` before the first window.
 
     ``prediction_sink``, when given, receives each window's prediction matrix
     as made *before* that window's action — the honest streaming forecast.
@@ -517,6 +527,13 @@ def run_stream(
     if stream_cfg.refit_scope == "window_plus_history" and history is None:
         raise ConfigError("refit_scope 'window_plus_history' needs the training series")
     regrow_history = history if stream_cfg.refit_scope == "window_plus_history" else None
+    if stream_cfg.variant == "improved":
+        sizes = {b.size for b in model.blocks} | {cfg.block_size}
+        if len(sizes) > 1:
+            raise ConfigError(
+                "the improved variant correlates equal-size blocks; model and "
+                f"regrowth block sizes are {sorted(sizes)}"
+            )
 
     n = inputs.shape[1]
     n_w = stream_cfg.window_size
@@ -550,11 +567,11 @@ def run_stream(
             state = states.final_state
 
         elif action == "online_update":
-            proj = ProjectionState(model.readout, guard_epsilon=stream_cfg.guard_epsilon)
-            for i in range(states.n_samples):
-                project_step(proj, states.stacked[:, i], win_tg[:, i])
-            if proj.updates_skipped:
-                note = f"{proj.updates_skipped} zero-state sample(s) skipped"
+            _, skipped = project_step(
+                model.readout, states.stacked, win_tg, stream_cfg.guard_epsilon
+            )
+            if skipped:
+                note = f"{skipped} zero-state sample(s) skipped"
             state = states.final_state
 
         else:  # restructure

@@ -131,6 +131,15 @@ class TestStream:
         record = run_trial(cfg, *prepare_dataset(cfg.dataset), trial=0)
         assert printed == f"{record.testing_nrmse:.6f}"
 
+    @pytest.mark.parametrize("command", ["build", "stream"])
+    def test_nonpositive_guard_refused_before_any_build(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, base_config(model={"variant": "sorscn2"}))
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out_dir), "--set", "model.guard_epsilon=0"]
+        assert main(argv) == 1
+        assert "guard_epsilon must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_static_variants_cannot_stream(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["stream", "--config", cfg]) == 1

@@ -12,8 +12,8 @@ from sorscn.construct import (
     build_initial,
     default_mu,
     propose_block,
+    _score_block,
     refit_readout,
-    score_candidate,
 )
 from sorscn.errors import (
     ConfigError,
@@ -39,41 +39,51 @@ def margins_oracle(residual, states, r, mu):
     return np.array(out)
 
 
+def margins_of(residual, states, r, mu):
+    """Margins (L,) of one candidate: a batch of one through ``_score_block``."""
+    return _score_block(np.atleast_2d(residual), np.asarray(states)[None], r, mu)[0]
+
+
 class TestScoreCandidate:
     def test_collinear_trajectory_scores_r_plus_mu_times_energy(self):
         e = np.array([[1.0, -2.0, 0.5, 3.0]])
-        sc = score_candidate(e, 2.5 * e, r=0.99, mu=0.004)
+        margins = margins_of(e, 2.5 * e, r=0.99, mu=0.004)
         energy = float(np.dot(e[0], e[0]))
-        assert sc.acceptable
-        assert np.allclose(sc.per_output, (0.99 + 0.004) * energy, atol=1e-12)
+        assert np.all(margins >= 0.0)
+        assert np.allclose(margins, (0.99 + 0.004) * energy, atol=1e-12)
 
     def test_orthogonal_trajectory_is_rejected(self):
         e = np.array([[1.0, 0.0, -1.0, 2.0]])
         x = np.array([[0.0, 5.0, 0.0, 0.0]])  # orthogonal to e
-        sc = score_candidate(e, x, r=0.99, mu=0.004)
+        margins = margins_of(e, x, r=0.99, mu=0.004)
         energy = float(np.dot(e[0], e[0]))
-        assert not sc.acceptable
-        assert np.allclose(sc.per_output, -(1 - 0.99 - 0.004) * energy, atol=1e-12)
+        assert not np.all(margins >= 0.0)
+        assert np.allclose(margins, -(1 - 0.99 - 0.004) * energy, atol=1e-12)
 
     def test_two_output_instance_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
         e = rng.standard_normal((2, 4))
         x = rng.standard_normal((3, 4))
-        sc = score_candidate(e, x, r=0.95, mu=0.01)
-        assert np.allclose(sc.per_output, margins_oracle(e, x, 0.95, 0.01), atol=1e-12)
+        margins = margins_of(e, x, r=0.95, mu=0.01)
+        assert np.allclose(margins, margins_oracle(e, x, 0.95, 0.01), atol=1e-12)
 
     def test_zero_states_raise(self):
         with pytest.raises(ZeroStateNorm):
-            score_candidate(np.ones((1, 4)), np.zeros((2, 4)), r=0.9, mu=0.05)
+            margins_of(np.ones((1, 4)), np.zeros((2, 4)), r=0.9, mu=0.05)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_xi_total_equals_margin_sum(self, seed):
+        # A batch scores each candidate as the oracle does alone, so the
+        # ranking key (the margin sum) matches too.
         rng = np.random.default_rng(seed)
         e = rng.standard_normal((3, 6))
-        x = rng.standard_normal((2, 6)) + 0.1
-        sc = score_candidate(e, x, r=0.9, mu=0.03)
-        assert abs(sc.xi_total - sc.per_output.sum()) <= 1e-12
+        x = rng.standard_normal((4, 2, 6)) + 0.1
+        margins = _score_block(e, x, r=0.9, mu=0.03)
+        for g in range(4):
+            oracle = margins_oracle(e, x[g], 0.9, 0.03)
+            assert np.allclose(margins[g], oracle, atol=1e-12)
+            assert abs(margins[g].sum() - oracle.sum()) <= 1e-12
 
 
 class TestProposeBlock:

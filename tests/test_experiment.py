@@ -133,54 +133,19 @@ class TestModelFiles:
             load_model(path)
 
     def test_unknown_schema_version(self, tmp_path):
-        path = tmp_path / "m.npz"
-        save_model(make_model(), path)
-        with np.load(path, allow_pickle=False) as data:
-            members = {name: data[name] for name in data.files}
-        meta = json.loads(str(members["__meta__"]))
-        meta["schema_version"] = 3
-        members["__meta__"] = np.asarray(json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez(fh, **members)
-        with pytest.raises(VersionMismatch):
-            load_model(path)
-
-    def _write_v1(self, path, n_blocks=1, drop_block=False):
-        rng = np.random.default_rng(3)
-        arrays = {"readout": rng.standard_normal((1, 2 * n_blocks))}
-        for k in range(n_blocks):
-            if drop_block and k == n_blocks - 1:
-                break
-            arrays[f"block{k}_input_weights"] = np.array([[2.0, -0.5], [0.25, 1.0]])
-            arrays[f"block{k}_internal_weights"] = np.diag([0.5, -0.25])
-            arrays[f"block{k}_bias"] = np.array([0.75, -1.0])
-        meta = {"schema_version": 1, "input_dim": 2, "output_dim": 1, "n_blocks": n_blocks}
-        with open(path, "wb") as fh:
-            np.savez(fh, __meta__=np.asarray(json.dumps(meta)), **arrays)
-
-    def test_v1_files_migrate(self, tmp_path):
-        path = tmp_path / "old.npz"
-        self._write_v1(path)
-        model = load_model(path)
-        assert model.n_blocks == 1
-        blk = model.blocks[0]
-        # Reconstructed metadata: radius of diag(0.5, -0.25) and the largest
-        # observed draw magnitude across input weights and bias.
-        assert blk.spectral_target == pytest.approx(0.5, abs=1e-9)
-        assert blk.scale_lambda == 2.0
-        assert blk.block_id == 0
-        assert model.history == []
-        # Re-saving upgrades the container to the current schema.
-        new_path = tmp_path / "new.npz"
-        save_model(model, new_path)
-        again = load_model(new_path)
-        assert np.array_equal(again.readout, model.readout)
-
-    def test_v1_missing_member_reported_corrupt(self, tmp_path):
-        path = tmp_path / "old.npz"
-        self._write_v1(path, n_blocks=2, drop_block=True)
-        with pytest.raises(CorruptFile):
-            load_model(path)
+        # Version 1 predates the checksum and the history; it is not read.
+        for version in (1, 3):
+            path = tmp_path / f"m{version}.npz"
+            save_model(make_model(), path)
+            with np.load(path, allow_pickle=False) as data:
+                members = {name: data[name] for name in data.files}
+            meta = json.loads(str(members["__meta__"]))
+            meta["schema_version"] = version
+            members["__meta__"] = np.asarray(json.dumps(meta))
+            with open(path, "wb") as fh:
+                np.savez(fh, **members)
+            with pytest.raises(VersionMismatch):
+                load_model(path)
 
 
 class TestConfigs:
@@ -207,6 +172,11 @@ class TestConfigs:
     def test_variant_gate(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant="deep_esn")
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9])
+    def test_guard_epsilon_must_be_positive(self, eps):
+        with pytest.raises(ConfigError, match="guard_epsilon"):
+            ModelConfig(guard_epsilon=eps)
 
     def test_stream_config_variant_mapping(self):
         assert ModelConfig(variant="sorscn1").stream_config().variant == "base"

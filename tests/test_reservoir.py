@@ -18,7 +18,6 @@ from sorscn.reservoir import (
     scale_spectral,
     spectral_radii,
     spectral_radius,
-    step_state,
 )
 
 
@@ -87,6 +86,11 @@ class TestSpectralRadius:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             spectral_radius(np.ones((2, 3)))
+
+
+def step_state(model, prev_state, u):
+    """One step of the recurrence: a one-sample harvest from ``prev_state``."""
+    return harvest_states(model, u[:, None], washout=0, initial_state=prev_state).final_state
 
 
 class TestStepState:
@@ -270,11 +274,10 @@ class TestRecurrenceKernel:
         model = _mixed_model(seed=8)
         prev = np.random.default_rng(9).uniform(-0.5, 0.5, model.total_size)
         u = np.array([0.3, -0.7])
-        out = step_state(model, prev, u)
         one = harvest_states(model, u[:, None], washout=0, initial_state=prev)
-        assert np.array_equal(out, one.stacked[:, 0])
+        assert np.array_equal(one.final_state, one.stacked[:, 0])
         ref = _reference_states(model, u[:, None], 0, prev)[:, 0]
-        assert np.abs(out - ref).max() <= 1e-12
+        assert np.abs(one.stacked[:, 0] - ref).max() <= 1e-12
 
     def test_candidate_kernel_continues_from_initial_state(self):
         model = _mixed_model(seed=10)

@@ -364,6 +364,8 @@ class TestStreamConfig:
             dict(window_size=10, alpha=-0.1),
             dict(window_size=10, gamma=-0.1),
             dict(window_size=10, refit_scope="everything"),
+            dict(window_size=10, guard_epsilon=0.0),
+            dict(window_size=10, guard_epsilon=-1e-9),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -461,19 +463,10 @@ class TestRunStream:
             assert v.blocks_after <= cfg.max_blocks
 
     def test_restructure_failure_is_contained(self):
-        # Unequal block sizes break the correlation scores inside the window;
-        # the verdict records the failure and later windows still run.
-        from sorscn.reservoir import EnsembleModel
-
-        rng = np.random.default_rng(0)
-        blocks = [
-            new_random_block(rng, size=3, input_dim=2, scale=1.0, theta=0.8, block_id=0),
-            new_random_block(rng, size=4, input_dim=2, scale=1.0, theta=0.8, block_id=1),
-        ]
-        model = EnsembleModel(
-            blocks=blocks, readout=np.zeros((1, 7)), input_dim=2, output_dim=1
-        )
-        cfg = _small_cfg()
+        # A mu rule with negative slack fails regrowth inside the window; the
+        # verdict records the failure and later windows still run.
+        model = make_model(n_blocks=2, size=3, input_dim=2, seed=0)
+        cfg = _small_cfg(mu_rule=lambda n_existing, r: -1.0)
         stream = _sine_problem(40, seed=6)
         out, verdicts = run_stream(
             model, stream, cfg, ErrorInterval(1e-13, 1e-12),
@@ -485,6 +478,33 @@ class TestRunStream:
             assert "restructure failed" in v.note
             assert v.blocks_after == v.blocks_before == 2
         assert out is model
+
+    def test_improved_variant_rejects_mixed_block_sizes_up_front(self):
+        # Correlation scores need equal-size blocks: a mixed model, or one
+        # that regrowth would make mixed, is refused before the first window.
+        from sorscn.reservoir import EnsembleModel
+
+        rng = np.random.default_rng(0)
+        blocks = [
+            new_random_block(rng, size=3, input_dim=2, scale=1.0, theta=0.8, block_id=0),
+            new_random_block(rng, size=4, input_dim=2, scale=1.0, theta=0.8, block_id=1),
+        ]
+        mixed = EnsembleModel(
+            blocks=blocks, readout=np.zeros((1, 7)), input_dim=2, output_dim=1
+        )
+        stream = _sine_problem(40, seed=6)
+        interval = ErrorInterval(1e-13, 1e-12)
+        improved = StreamConfig(window_size=20, variant="improved")
+        with pytest.raises(ConfigError, match=r"block sizes are \[3, 4\]"):
+            run_stream(mixed, stream, _small_cfg(), interval, improved)
+        uniform = make_model(n_blocks=2, size=3, input_dim=2, seed=0)
+        with pytest.raises(ConfigError, match=r"block sizes are \[3, 5\]"):
+            run_stream(uniform, stream, _small_cfg(block_size=5), interval, improved)
+        # The base variant ranks by sensitivity alone and takes any sizes.
+        _, verdicts = run_stream(
+            mixed, stream, _small_cfg(), interval, StreamConfig(window_size=20)
+        )
+        assert len(verdicts) == 2
 
     def test_failed_regrow_after_prune_rolls_back_model_and_state(self):
         # The mu rule raises inside regrow, after prune has already run: each
