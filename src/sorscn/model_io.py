@@ -90,6 +90,13 @@ def load_model(path) -> EnsembleModel:
     if meta.get("checksum") != _digest(arrays, meta):
         raise CorruptFile(f"{path}: checksum mismatch")
 
+    try:
+        return _model_from(meta, arrays)
+    except KeyError as exc:
+        raise CorruptFile(f"{path}: missing member {exc}") from exc
+
+
+def _model_from(meta: dict, arrays: dict) -> EnsembleModel:
     blocks = []
     for k, blk_meta in enumerate(meta["blocks"]):
         blocks.append(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sorscn.experiment as experiment
+import sorscn.model_io as model_io
 from conftest import make_model
 from sorscn.errors import (
     AllTrialsFailed,
@@ -133,18 +134,50 @@ class TestModelFiles:
             load_model(path)
 
     def test_unknown_schema_version(self, tmp_path):
-        # Version 1 predates the checksum and the history; it is not read.
-        for version in (1, 3):
-            path = tmp_path / f"m{version}.npz"
-            save_model(make_model(), path)
-            with np.load(path, allow_pickle=False) as data:
-                members = {name: data[name] for name in data.files}
-            meta = json.loads(str(members["__meta__"]))
-            meta["schema_version"] = version
-            members["__meta__"] = np.asarray(json.dumps(meta))
+        path = tmp_path / "m.npz"
+        save_model(make_model(), path)
+        with np.load(path, allow_pickle=False) as data:
+            members = {name: data[name] for name in data.files}
+        meta = json.loads(str(members["__meta__"]))
+        meta["schema_version"] = 3
+        members["__meta__"] = np.asarray(json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+        with pytest.raises(VersionMismatch):
+            load_model(path)
+
+    def test_v1_missing_member_reported_corrupt(self, tmp_path):
+        # Version 1 predates the checksum and the history; such a file is
+        # refused by its version before any member is read.
+        rng = np.random.default_rng(3)
+        v1_meta = {"schema_version": 1, "input_dim": 2, "output_dim": 1, "n_blocks": 2}
+        path = tmp_path / "old.npz"
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                __meta__=np.asarray(json.dumps(v1_meta)),
+                readout=rng.standard_normal((1, 4)),
+                block0_input_weights=np.array([[2.0, -0.5], [0.25, 1.0]]),
+                block0_internal_weights=np.diag([0.5, -0.25]),
+                block0_bias=np.array([0.75, -1.0]),
+            )
+        with pytest.raises(VersionMismatch):
+            load_model(path)
+
+        # A current file missing a block member is reported corrupt, both
+        # when the digest is left stale and when it is recomputed to match.
+        path = tmp_path / "m.npz"
+        save_model(make_model(n_blocks=2), path)
+        with np.load(path, allow_pickle=False) as data:
+            members = {name: data[name] for name in data.files}
+        meta = json.loads(str(members.pop("__meta__")))
+        del members["block1_bias"]
+        for redigest in (False, True):
+            if redigest:
+                meta["checksum"] = model_io._digest(members, meta)
             with open(path, "wb") as fh:
-                np.savez(fh, **members)
-            with pytest.raises(VersionMismatch):
+                np.savez(fh, __meta__=np.asarray(json.dumps(meta)), **members)
+            with pytest.raises(CorruptFile, match="block1_bias" if redigest else "checksum"):
                 load_model(path)
 
 
