@@ -90,18 +90,22 @@ class DatasetConfig:
 
 @dataclass
 class ModelConfig:
-    """Variant choice plus every knob the variants share."""
+    """Variant choice plus every knob the variants share.
+
+    Construction and stream knobs default to their sub-config's values, and
+    every knob's rule runs when the config is made, whatever the variant.
+    """
 
     variant: str = "sorscn2"
     max_blocks: int = 30
-    block_size: int = 10
-    error_tolerance: float = 1e-5
-    lambda_grid: tuple = (0.5, 1.0, 5.0, 10.0, 30.0, 50.0, 100.0)
-    r_grid: tuple = (0.9, 0.99, 0.999, 0.9999, 0.99999)
-    candidates_per_setting: int = 100
-    theta: float = 0.9
-    j_step: int = 2
-    ridge: float = 0.0
+    block_size: int = ConstructionConfig.block_size
+    error_tolerance: float = ConstructionConfig.error_tolerance
+    lambda_grid: tuple = ConstructionConfig.lambda_grid
+    r_grid: tuple = ConstructionConfig.r_grid
+    candidates_per_setting: int = ConstructionConfig.candidates_per_setting
+    theta: float = ConstructionConfig.theta
+    j_step: int = ConstructionConfig.j_step
+    ridge: float = ConstructionConfig.ridge
     rscn_seed_size: int = 5
     esn_size: int = 100
     esn_scale: float = 1.0
@@ -109,18 +113,28 @@ class ModelConfig:
     window_size: int = 40
     kappa_lo: float = 0.5
     kappa_hi: float = 1.5
-    alpha: float = 0.5
-    gamma: float = 0.006
-    guard_epsilon: float = 1e-12
-    refit_scope: str = "window"
+    alpha: float = StreamConfig.alpha
+    gamma: float = StreamConfig.gamma
+    guard_epsilon: float = StreamConfig.guard_epsilon
+    refit_scope: str = "window"  # window | window_plus_history
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.guard_epsilon <= 0:
-            raise ConfigError(f"guard_epsilon must be positive, got {self.guard_epsilon}")
+        if self.refit_scope not in ("window", "window_plus_history"):
+            raise ConfigError(f"unknown refit_scope {self.refit_scope!r}")
+        if self.esn_size < 1:
+            raise ConfigError(f"esn_size must be >= 1, got {self.esn_size}")
+        if self.esn_scale <= 0:
+            raise ConfigError(f"esn_scale must be positive, got {self.esn_scale}")
+        if not 0.0 < self.esn_sparsity <= 1.0:
+            raise ConfigError(f"esn_sparsity must be in (0, 1], got {self.esn_sparsity}")
+        # The kappas' rule lives in calibrate_interval; a one-sample residual runs it.
+        calibrate_interval(np.ones((1, 1)), self.window_size, self.kappa_lo, self.kappa_hi)
         self.lambda_grid = tuple(self.lambda_grid)
         self.r_grid = tuple(self.r_grid)
+        dataclasses.replace(self.construction_config(0), seed_reservoir_size=self.rscn_seed_size)
+        self.stream_config()
 
     def construction_config(self, seed: int) -> ConstructionConfig:
         return ConstructionConfig(
@@ -143,10 +157,7 @@ class ModelConfig:
             variant="improved" if self.variant == "sorscn2" else "base",
             alpha=self.alpha,
             gamma=self.gamma,
-            kappa_lo=self.kappa_lo,
-            kappa_hi=self.kappa_hi,
             guard_epsilon=self.guard_epsilon,
-            refit_scope=self.refit_scope,
         )
 
 
@@ -201,11 +212,11 @@ class ExperimentConfig:
         ).hexdigest()
 
     def with_overrides(self, **model_fields) -> "ExperimentConfig":
-        return ExperimentConfig(
-            dataset=self.dataset,
-            model=dataclasses.replace(self.model, **model_fields),
-            run=self.run,
-        )
+        try:
+            model = dataclasses.replace(self.model, **model_fields)
+        except TypeError as exc:
+            raise ConfigError(f"bad model override: {exc}") from exc
+        return ExperimentConfig(dataset=self.dataset, model=model, run=self.run)
 
 
 @dataclass
@@ -478,19 +489,13 @@ def compare_variants(
     cfg: ExperimentConfig, variants: tuple = VARIANTS
 ) -> dict:
     """Run several variants on identical data and seeds; returns name -> report."""
+    run = dataclasses.replace(cfg.run, out_dir=None)
     reports = {}
     for variant in variants:
-        sub = cfg.with_overrides(variant=variant)
+        model = dataclasses.replace(cfg.model, variant=variant)
+        reports[variant] = run_experiment(ExperimentConfig(cfg.dataset, model, run))
         if cfg.run.out_dir:
-            sub = ExperimentConfig(
-                dataset=sub.dataset,
-                model=sub.model,
-                run=dataclasses.replace(cfg.run, out_dir=None),
-            )
-        report = run_experiment(sub)
-        reports[variant] = report
-        if cfg.run.out_dir:
-            write_report(report, cfg.run.out_dir, name=f"report_{variant}")
+            write_report(reports[variant], cfg.run.out_dir, name=f"report_{variant}")
     return reports
 
 
@@ -508,16 +513,14 @@ def grid_search(
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("grid must be non-empty with non-empty value lists")
     keys = list(grid)
+    points = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
+    # Making every point's config checks all of them before the first trial.
+    models = [cfg.with_overrides(**point).model for point in points]
+    run = dataclasses.replace(cfg.run, trials=trials, out_dir=None)
     surface = []
     best = None
-    for values in itertools.product(*(grid[k] for k in keys)):
-        point = dict(zip(keys, values))
-        sub = cfg.with_overrides(**point)
-        sub = ExperimentConfig(
-            dataset=sub.dataset,
-            model=sub.model,
-            run=dataclasses.replace(cfg.run, trials=trials, out_dir=None),
-        )
+    for point, model in zip(points, models):
+        sub = ExperimentConfig(dataset=cfg.dataset, model=model, run=run)
         entry = {"point": point}
         try:
             report = run_experiment(sub)

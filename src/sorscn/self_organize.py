@@ -76,10 +76,7 @@ class ErrorInterval:
 
 
 def calibrate_interval(
-    training_residual: np.ndarray,
-    window_size: int,
-    kappa_lo: float = 0.5,
-    kappa_hi: float = 1.5,
+    training_residual: np.ndarray, window_size: int, kappa_lo: float, kappa_hi: float
 ) -> ErrorInterval:
     """Derive the error interval from the achieved training residual.
 
@@ -219,7 +216,8 @@ def select_blocks(
     non-decreasing curve ending at exactly 1. Improved variant adds
     alpha * (cumulative correlation scores, in sensitivity-rank order) /
     (their total), ending at exactly 1 + alpha. j_m is the smallest prefix
-    reaching ``gamma``; an unreachable threshold keeps all blocks and warns.
+    reaching ``gamma``; on either variant, a threshold above the curve's end
+    keeps every block and raises :class:`InvalidThresholdWarning`.
     """
     s = np.asarray(sensitivities, dtype=float)
     j = s.size
@@ -228,8 +226,6 @@ def select_blocks(
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
     variant = "base" if correlation_scores is None else "improved"
-    if variant == "base" and gamma > 1.0:
-        raise ConfigError(f"base-variant gamma must be <= 1, got {gamma}")
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
 
@@ -424,16 +420,16 @@ def regrow(
 
 @dataclass
 class StreamConfig:
-    """Driver settings: windowing, routing thresholds source, MSA variant."""
+    """Stream settings: window length, MSA variant, alpha, gamma, projection guard.
+
+    The error interval and the refit's ``history`` are :func:`run_stream` arguments.
+    """
 
     window_size: int
     variant: str = "base"  # base | improved
     alpha: float = 0.5
     gamma: float = 0.006
-    kappa_lo: float = 0.5
-    kappa_hi: float = 1.5
     guard_epsilon: float = 1e-12
-    refit_scope: str = "window"  # window | window_plus_history
 
     def __post_init__(self):
         if self.window_size < 1:
@@ -444,8 +440,6 @@ class StreamConfig:
             raise ConfigError("alpha must be >= 0")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
-        if self.refit_scope not in ("window", "window_plus_history"):
-            raise ConfigError(f"unknown refit_scope {self.refit_scope!r}")
         if self.guard_epsilon <= 0:
             raise ConfigError(f"guard_epsilon must be positive, got {self.guard_epsilon}")
         cap = 1.0 + (self.alpha if self.variant == "improved" else 0.0)
@@ -512,6 +506,9 @@ def run_stream(
     ``cfg.block_size``, to have one size; a model with mixed sizes raises
     :class:`ConfigError` before the first window.
 
+    A restructure refits the readout on the window, plus the training series
+    exactly when ``history`` (its inputs, targets and washout) is passed.
+
     ``prediction_sink``, when given, receives each window's prediction matrix
     as made *before* that window's action — the honest streaming forecast.
 
@@ -524,9 +521,6 @@ def run_stream(
             f"stream inputs n={inputs.shape[1]} vs targets n={targets.shape[1]}"
         )
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    if stream_cfg.refit_scope == "window_plus_history" and history is None:
-        raise ConfigError("refit_scope 'window_plus_history' needs the training series")
-    regrow_history = history if stream_cfg.refit_scope == "window_plus_history" else None
     if stream_cfg.variant == "improved":
         sizes = {b.size for b in model.blocks} | {cfg.block_size}
         if len(sizes) > 1:
@@ -598,7 +592,7 @@ def run_stream(
                     interval,
                     rng=rng,
                     block_states=kept_states,
-                    history=regrow_history,
+                    history=history,
                     sample_index=sample_index,
                 )
             except (SorscnError, np.linalg.LinAlgError) as exc:

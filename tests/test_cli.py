@@ -131,13 +131,28 @@ class TestStream:
         record = run_trial(cfg, *prepare_dataset(cfg.dataset), trial=0)
         assert printed == f"{record.testing_nrmse:.6f}"
 
-    @pytest.mark.parametrize("command", ["build", "stream"])
-    def test_nonpositive_guard_refused_before_any_build(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            pytest.param("build", "model.guard_epsilon=0", "guard_epsilon must be positive", id="build"),
+            pytest.param("stream", "model.guard_epsilon=0", "guard_epsilon must be positive", id="stream"),
+            ("compare", "model.window_size=0", "window_size must be >= 1"),
+            ("build", "model.kappa_lo=5", "kappa_lo < kappa_hi"),
+            ("compare", "model.rscn_seed_size=0", "seed_reservoir_size must be >= 1"),
+            ("compare", "model.esn_size=0", "esn_size must be >= 1"),
+            ("compare", "model.esn_sparsity=0", "esn_sparsity must be in (0, 1]"),
+        ],
+    )
+    def test_nonpositive_guard_refused_before_any_build(
+        self, tmp_path, capsys, command, setting, message
+    ):
+        # Every model knob is checked when the config is made, so a bad value
+        # exits as a config error before anything is built or written.
         cfg = write_config(tmp_path, base_config(model={"variant": "sorscn2"}))
         out_dir = tmp_path / "out"
-        argv = [command, "--config", cfg, "--out", str(out_dir), "--set", "model.guard_epsilon=0"]
-        assert main(argv) == 1
-        assert "guard_epsilon must be positive" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", str(out_dir), "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
         assert not out_dir.exists()
 
     def test_static_variants_cannot_stream(self, tmp_path, capsys):
@@ -191,6 +206,25 @@ class TestCompareSweepGen:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,alpha,")
         assert [line.split(",")[:2] for line in lines[1:]] == [["0.3", "0.3"], ["0.3", "0.5"]]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["sweep.alpha=[0.3]", "sweep.gamma=[0.006,-1]"], "gamma must be >= 0"),
+            (["sweep.gamma=[0.006]", "sweep.bogus=[1]"], "unexpected keyword argument 'bogus'"),
+        ],
+        ids=["bad-value", "unknown-key"],
+    )
+    def test_sweep_checks_every_point_before_the_first_trial(self, tmp_path, capsys, grid, message):
+        out_dir = tmp_path / "sweep"
+        config = str(CONFIG_DIR / "sweep_alpha_gamma.yaml")
+        argv = ["sweep", "--config", config, "--trials", "1", "--out", str(out_dir)]
+        for item in grid:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_sweep_without_section_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

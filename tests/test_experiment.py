@@ -8,6 +8,7 @@ import pytest
 import sorscn.experiment as experiment
 import sorscn.model_io as model_io
 from conftest import make_model
+from sorscn.construct import ConstructionConfig
 from sorscn.errors import (
     AllTrialsFailed,
     ConfigError,
@@ -36,6 +37,7 @@ from sorscn.experiment import (
 )
 from sorscn.model_io import load_model, save_model
 from sorscn.reservoir import StructureEvent, harvest_states
+from sorscn.self_organize import StreamConfig
 
 
 class TestNrmse:
@@ -210,6 +212,35 @@ class TestConfigs:
     def test_guard_epsilon_must_be_positive(self, eps):
         with pytest.raises(ConfigError, match="guard_epsilon"):
             ModelConfig(guard_epsilon=eps)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(refit_scope="everything"),
+            dict(variant="esn", window_size=0),
+            dict(variant="esn", gamma=-0.1),
+            dict(variant="sorscn2", rscn_seed_size=0),
+            dict(variant="rscn", esn_size=0),
+            dict(esn_scale=0.0),
+            dict(esn_sparsity=0.0),
+            dict(esn_sparsity=1.5),
+            dict(kappa_lo=5.0),
+            dict(kappa_lo=-0.1),
+            dict(max_blocks=0),
+        ],
+    )
+    def test_every_knob_checked_whatever_the_variant(self, knobs):
+        # compare runs every variant from one ModelConfig, so a knob only
+        # one variant reads must still be refused when the config is made.
+        with pytest.raises(ConfigError):
+            ModelConfig(**knobs)
+
+    def test_defaults_come_from_the_sub_configs(self):
+        mcfg = ModelConfig()
+        assert mcfg.construction_config(0) == ConstructionConfig(max_blocks=mcfg.max_blocks)
+        assert mcfg.stream_config() == StreamConfig(
+            window_size=mcfg.window_size, variant="improved"
+        )
 
     def test_stream_config_variant_mapping(self):
         assert ModelConfig(variant="sorscn1").stream_config().variant == "base"

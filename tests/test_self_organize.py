@@ -69,7 +69,7 @@ class TestErrorInterval:
     def test_hand_calibration(self):
         # Windows of the residual [[3,4],[0,0]]: norms 5 and 0,
         # rms = sqrt((25 + 0)/2) = 3.5355339059327378.
-        iv = calibrate_interval(np.array([[3.0, 4.0, 0.0, 0.0]]), window_size=2)
+        iv = calibrate_interval(np.array([[3.0, 4.0, 0.0, 0.0]]), 2, kappa_lo=0.5, kappa_hi=1.5)
         assert iv.e_min == pytest.approx(0.5 * 3.5355339059327378, abs=1e-12)
         assert iv.e_max == pytest.approx(1.5 * 3.5355339059327378, abs=1e-12)
         assert iv.calibration["n_windows"] == 2
@@ -83,15 +83,15 @@ class TestErrorInterval:
         assert iv.e_max == pytest.approx(2 * rms, abs=1e-12)
 
     def test_zero_residual_degenerates_to_tiny_upper_bound(self):
-        iv = calibrate_interval(np.zeros((1, 10)), window_size=5)
+        iv = calibrate_interval(np.zeros((1, 10)), 5, kappa_lo=0.5, kappa_hi=1.5)
         assert iv.e_min == 0.0
         assert iv.e_max == 1e-12
 
     def test_calibration_input_validation(self):
         with pytest.raises(EmptyWindow):
-            calibrate_interval(np.zeros((1, 0)), window_size=2)
+            calibrate_interval(np.zeros((1, 0)), 2, kappa_lo=0.5, kappa_hi=1.5)
         with pytest.raises(ConfigError):
-            calibrate_interval(np.ones((1, 4)), window_size=0)
+            calibrate_interval(np.ones((1, 4)), 0, kappa_lo=0.5, kappa_hi=1.5)
         with pytest.raises(ConfigError):
             calibrate_interval(np.ones((1, 4)), window_size=2, kappa_lo=2.0, kappa_hi=1.0)
 
@@ -192,9 +192,11 @@ class TestSelectBlocks:
             )
         assert report.j_m == 2
 
-    def test_base_gamma_above_one_rejected(self):
-        with pytest.raises(ConfigError):
-            select_blocks(np.array([1.0, 2.0]), None, gamma=1.2)
+    def test_base_gamma_above_one_keeps_all_and_warns(self):
+        with pytest.warns(InvalidThresholdWarning):
+            report = select_blocks(np.array([1.0, 2.0]), None, gamma=1.2)
+        assert report.j_m == 2
+        assert report.retained == (0, 1)
 
     def test_gamma_at_curve_endpoint_is_reachable(self):
         report = select_blocks(np.array([3.0, 1.0]), None, gamma=1.0)
@@ -354,7 +356,7 @@ class TestRegrow:
 class TestStreamConfig:
     def test_defaults_accepted(self):
         cfg = StreamConfig(window_size=20)
-        assert cfg.variant == "base" and cfg.refit_scope == "window"
+        assert cfg.variant == "base" and cfg.guard_epsilon > 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -363,7 +365,6 @@ class TestStreamConfig:
             dict(window_size=10, variant="other"),
             dict(window_size=10, alpha=-0.1),
             dict(window_size=10, gamma=-0.1),
-            dict(window_size=10, refit_scope="everything"),
             dict(window_size=10, guard_epsilon=0.0),
             dict(window_size=10, guard_epsilon=-1e-9),
         ],
@@ -544,7 +545,7 @@ class TestRunStream:
         model = build_initial(cfg, (train_in, train_tg), washout=20)
         train_states = harvest_states(model, train_in, washout=20)
         interval = calibrate_interval(
-            train_tg[:, 20:] - model.predict(train_states), window_size=40
+            train_tg[:, 20:] - model.predict(train_states), 40, kappa_lo=0.5, kappa_hi=1.5
         )
         stream_in = ds.inputs[:, 300:].copy()
         stream_in[0, 45] = np.nan  # inside window 1
@@ -579,14 +580,20 @@ class TestRunStream:
         assert np.isfinite(out.readout).all()
         assert not np.array_equal(out.readout, readout)
 
-    def test_history_refit_scope_requires_history(self):
+    def test_base_gamma_above_one_keeps_every_block(self):
         model, cfg = self._trained()
-        stream = _sine_problem(40, seed=7)
-        with pytest.raises(ConfigError):
-            run_stream(
-                model, stream, cfg, ErrorInterval(0.1, 1.0),
-                StreamConfig(window_size=20, refit_scope="window_plus_history"),
+        n_events = len(model.history)
+        stream = _sine_problem(80, freq=13.0, seed=7)
+        with pytest.warns(InvalidThresholdWarning):
+            stream_cfg = StreamConfig(window_size=20, variant="base", gamma=1.2)
+        with pytest.warns(InvalidThresholdWarning):
+            out, verdicts = run_stream(
+                model, stream, cfg, ErrorInterval(1e-13, 1e-12), stream_cfg
             )
+        assert [v.action for v in verdicts] == ["restructure"] * 4
+        assert not any(v.note.startswith("restructure failed") for v in verdicts)
+        prunes = [e for e in out.history[n_events:] if e.kind == "prune"]
+        assert [e.blocks_after for e in prunes] == [v.blocks_before for v in verdicts]
 
     def test_stream_length_mismatch(self):
         model, cfg = self._trained()
@@ -604,7 +611,7 @@ class TestRunStream:
         model = build_initial(cfg, (train_in, train_tg), washout=10)
         train_states = harvest_states(model, train_in, washout=10)
         residual = train_tg[:, 10:] - model.predict(train_states)
-        interval = calibrate_interval(residual, window_size=40)
+        interval = calibrate_interval(residual, 40, kappa_lo=0.5, kappa_hi=1.5)
 
         stream = _sine_problem(120, freq=13.0, seed=9)
         out, verdicts = run_stream(
